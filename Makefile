@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench-large bench-gate loadgen-smoke loadgen-scale docs-check link-check lint all
+.PHONY: test bench-smoke bench-large bench-gate loadgen-smoke loadgen-scale perfbench-smoke docs-check link-check lint all
 
 all: docs-check test
 
@@ -35,9 +35,9 @@ bench-large:
 		bench_journal.py bench_obs.py bench_query.py bench_scaling.py -q
 	BENCH_LARGE=1 $(PYTHON) tools/bench_gate.py
 
-## short open-loop load runs against an in-process server -- once
-## threaded, once through the multi-process topology (2 workers +
-## coalescing front end); appends p50/p99 + rps to
+## short open-loop load runs against an in-process server -- once at
+## 0 workers (every window solved in the server process), once with a
+## world store and 2 forked workers; appends p50/p99 + rps to
 ## benchmarks/results/bench_trajectory.jsonl
 loadgen-smoke:
 	$(PYTHON) tools/loadgen.py --smoke --label loadgen_smoke
@@ -51,6 +51,13 @@ loadgen-scale:
 	$(PYTHON) tools/loadgen.py --smoke --compare-workers 1,4 \
 		--label loadgen_scale
 	LOADGEN_SCALE=1 $(PYTHON) tools/bench_gate.py
+
+## one seeded run of the benchmark's serve workload (fit, save,
+## `repro serve --workers 0`, read-only traffic); fails unless its
+## result line reports "correct": true
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload serve --seed 1 \
+		| tail -n 1 | tee /dev/stderr | grep -q '"correct": true'
 
 ## perf-regression gate: compare bench_run.json against the committed
 ## baseline bands (run bench-smoke first)

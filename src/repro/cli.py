@@ -71,6 +71,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
     """The engine knobs shared by fit/evaluate/reproduce."""
     from repro.engine.registry import engine_names
@@ -373,9 +380,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
         help="LRU prediction cache capacity (default: %(default)s)",
     )
     p.add_argument(
-        "--verbose", action="store_true", help="log every request"
-    )
-    p.add_argument(
         "--access-log",
         nargs="?",
         const="-",
@@ -403,12 +407,12 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
-        help="serve through N forked predictor processes behind an "
-        "asyncio front end with micro-batch coalescing; 0 (the "
-        "default) keeps the single-process threaded server",
+        help="fork N predictor processes (attached to a world store by "
+        "mmap) and dispatch predict traffic to them; 0 (the default) "
+        "solves every request in this process",
     )
     p.add_argument(
         "--coalesce-ms",
@@ -416,17 +420,17 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
         default=2.0,
         metavar="MS",
         help="micro-batching window: predict requests arriving within "
-        "MS milliseconds coalesce into one batch solve "
-        "(default: %(default)s; only with --workers > 0)",
+        "MS milliseconds coalesce into one batch solve, at any "
+        "--workers count (default: %(default)s)",
     )
     p.add_argument(
         "--store",
         type=Path,
         default=None,
         metavar="DIR",
-        help="world-store directory for the multi-process topology "
-        "(generation-versioned mmap arenas; default: a temporary "
-        "directory removed on exit)",
+        help="world-store directory the --workers N > 0 topology "
+        "publishes to (generation-versioned mmap arenas; default: a "
+        "temporary directory removed on exit)",
     )
     p.add_argument(
         "--drain-seconds",
@@ -1101,8 +1105,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: serve fold-in inference over HTTP."""
-    from repro.serving.server import make_server
-
     predictor = _load_predictor(args.artifact, cache_size=args.cache_size)
     journal = None
     if args.journal is not None:
@@ -1137,31 +1139,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             access_log_fh = open(args.access_log, "a", encoding="utf-8")
             access_log = access_log_fh
     try:
-        if args.workers > 0:
-            return _serve_multiprocess(args, predictor, journal, access_log)
-        server = make_server(
-            predictor,
-            host=args.host,
-            port=args.port,
-            quiet=not args.verbose,
-            journal=journal,
-            access_log=access_log,
-        )
-        host, port = server.server_address[:2]
-        print(
-            f"serving artifact {predictor.artifact_id} "
-            f"({predictor.world.n_users} users, generation "
-            f"{predictor.world.generation}) on http://{host}:{port}",
-            flush=True,
-        )
-        _install_drain_handlers(server, args.drain_seconds)
-        try:
-            # Returns once a signal-handler drain calls shutdown().
-            server.serve_forever()
-        except KeyboardInterrupt:
-            server.drain(args.drain_seconds)
-        print("shut down cleanly", flush=True)
-        return 0
+        return _serve(args, predictor, journal, access_log)
     finally:
         if journal is not None:
             journal.close()
@@ -1169,31 +1147,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             access_log_fh.close()
 
 
-def _install_drain_handlers(server, drain_seconds: float) -> None:
-    """SIGTERM/SIGINT -> graceful drain of the threaded server.
+def _serve(args, predictor, journal, access_log) -> int:
+    """Run the asyncio front end until SIGTERM/SIGINT, then drain.
 
-    ``drain()`` blocks on ``shutdown()``, which waits for the
-    ``serve_forever`` loop -- the very loop a signal handler interrupts
-    -- so the drain runs on its own thread while the main thread's
-    ``serve_forever`` returns.
+    With ``--workers N > 0`` the world is published to a store (a
+    temporary one unless ``--store`` names it) and N workers are forked
+    before the event loop starts; at 0 workers neither exists.
     """
-    import signal
-    import threading
-
-    def handle(signum, frame):
-        threading.Thread(
-            target=server.drain,
-            args=(drain_seconds,),
-            name="repro-drain",
-            daemon=True,
-        ).start()
-
-    signal.signal(signal.SIGTERM, handle)
-    signal.signal(signal.SIGINT, handle)
-
-
-def _serve_multiprocess(args, predictor, journal, access_log) -> int:
-    """The ``--workers N`` topology: store + forked pool + async front end."""
     import asyncio
     import shutil
     import signal
@@ -1202,50 +1162,58 @@ def _serve_multiprocess(args, predictor, journal, access_log) -> int:
     from repro.serving.frontend import make_frontend
     from repro.serving.store import StoreError, WorldStore
 
-    store_dir = args.store
-    temp_store = store_dir is None
-    if temp_store:
-        store_dir = tempfile.mkdtemp(prefix="repro-store-")
-    store = WorldStore(store_dir, predictor.world.gazetteer)
+    store = store_dir = None
+    temp_store = False
     try:
-        frontend = make_frontend(
-            predictor,
-            store,
-            args.workers,
-            host=args.host,
-            port=args.port,
-            coalesce_ms=args.coalesce_ms,
-            journal=journal,
-            access_log=access_log,
-            quiet=not args.verbose,
-        )
-    except StoreError as exc:
-        print(f"cannot open --store: {exc}", file=sys.stderr)
-        return 2
+        if args.workers > 0:
+            store_dir = args.store
+            temp_store = store_dir is None
+            if temp_store:
+                store_dir = tempfile.mkdtemp(prefix="repro-store-")
+            store = WorldStore(store_dir, predictor.world.gazetteer)
+        try:
+            frontend = make_frontend(
+                predictor,
+                store,
+                args.workers,
+                host=args.host,
+                port=args.port,
+                coalesce_ms=args.coalesce_ms,
+                journal=journal,
+                access_log=access_log,
+            )
+        except StoreError as exc:
+            print(f"cannot open --store: {exc}", file=sys.stderr)
+            return 2
+        # The 0-worker banner ends at the port: scripts parse it.
+        topology = ""
+        if store is not None:
+            topology = (
+                f" [{args.workers} workers, coalesce {args.coalesce_ms}ms, "
+                f"store {store_dir}]"
+            )
 
-    async def main() -> None:
-        await frontend.start()
-        print(
-            f"serving artifact {predictor.artifact_id} "
-            f"({predictor.world.n_users} users, generation "
-            f"{predictor.world.generation}) on "
-            f"http://{args.host}:{frontend.port} "
-            f"[{args.workers} workers, coalesce {args.coalesce_ms}ms, "
-            f"store {store_dir}]",
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, stop.set)
-        await stop.wait()
-        print("draining...", flush=True)
-        await frontend.drain(args.drain_seconds)
+        async def main() -> None:
+            await frontend.start()
+            print(
+                f"serving artifact {predictor.artifact_id} "
+                f"({predictor.world.n_users} users, generation "
+                f"{predictor.world.generation}) on "
+                f"http://{args.host}:{frontend.port}{topology}",
+                flush=True,
+            )
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                loop.add_signal_handler(signum, stop.set)
+            await stop.wait()
+            print("draining...", flush=True)
+            await frontend.drain(args.drain_seconds)
 
-    try:
         asyncio.run(main())
     finally:
-        store.close()
+        if store is not None:
+            store.close()
         if temp_store:
             shutil.rmtree(store_dir, ignore_errors=True)
     print("shut down cleanly", flush=True)

@@ -5,9 +5,10 @@ The package is deliberately flat and stdlib+numpy only:
 - :mod:`repro.obs.metrics` -- process-wide thread-safe registry of named
   counters, gauges, and log-bucketed latency histograms with a
   Prometheus-text exposition encoder.
-- :mod:`repro.obs.trace` -- lightweight nested spans on a thread-local
-  stack, a bounded ring buffer of recent request traces, and a
-  slow-request log with per-span breakdowns.
+- :mod:`repro.obs.trace` -- lightweight nested spans on a
+  context-local trace (per thread and per asyncio task), a bounded ring
+  buffer of recent request traces, and a slow-request log with per-span
+  breakdowns.
 - :mod:`repro.obs.hooks` -- opt-in observer hooks for the sampler hot
   loop that cost a single ``None`` check when disabled.
 

@@ -3,11 +3,16 @@
 A *trace* is one request's tree of timed spans.  The serving layer opens
 a trace per HTTP request with :func:`trace_request`; instrumented code
 anywhere below it wraps hot sections in ``with span("foldin.solve"):``.
-Spans nest on a thread-local stack, so the instrumented code needs no
-plumbing -- it neither knows nor cares whether a trace is active.
+The active trace lives in a :class:`contextvars.ContextVar`, so the
+instrumented code needs no plumbing -- it neither knows nor cares
+whether a trace is active.  A context variable is per thread *and* per
+asyncio task: interleaved request coroutines on one event loop each see
+their own trace, and ``asyncio.to_thread`` copies the caller's context,
+so spans opened in an executor thread land in the request that awaited
+it.
 
-When **no** trace is active on the current thread, :func:`span` returns
-a shared no-op singleton: the cost is one thread-local attribute read
+When **no** trace is active in the current context, :func:`span`
+returns a shared no-op singleton: the cost is one context-variable read
 and a ``None`` check, which is what lets library code (fold-in, journal,
 cache) stay instrumented unconditionally.
 
@@ -23,6 +28,7 @@ randomness, so golden tests stay replayable.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import os
 import threading
@@ -30,7 +36,9 @@ import time
 from collections import deque
 from contextlib import contextmanager
 
-_local = threading.local()
+_active: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
+    "repro_trace", default=None
+)
 _trace_ids = itertools.count(1)
 
 
@@ -56,7 +64,10 @@ class SpanRecord:
 class Trace:
     """One request's span tree plus identity and timing metadata."""
 
-    __slots__ = ("trace_id", "name", "meta", "started_unix", "duration", "spans")
+    __slots__ = (
+        "trace_id", "name", "meta", "started_unix", "duration", "spans",
+        "_stack", "_t0",
+    )
 
     def __init__(self, name: str, meta: dict | None = None) -> None:
         self.trace_id = f"{os.getpid():x}-{next(_trace_ids):06x}"
@@ -65,6 +76,11 @@ class Trace:
         self.started_unix = time.time()
         self.duration = 0.0
         self.spans: list[SpanRecord] = []
+        #: Open spans, innermost last.  One request's spans run one at a
+        #: time (its coroutine awaits each executor hop), so the stack
+        #: is never pushed from two places at once.
+        self._stack: list[SpanRecord] = []
+        self._t0 = time.perf_counter()
 
     def to_dict(self) -> dict:
         """JSON-friendly trace dict with nested spans."""
@@ -94,21 +110,19 @@ _NOOP = _NoopSpan()
 
 
 class _LiveSpan:
-    """Context manager that records one SpanRecord into the active trace."""
+    """Context manager that records one SpanRecord into a trace."""
 
-    __slots__ = ("_name", "_record", "_t0")
+    __slots__ = ("_name", "_trace", "_record", "_t0")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, trace: Trace) -> None:
         self._name = name
+        self._trace = trace
 
     def __enter__(self) -> "_LiveSpan":
-        trace = getattr(_local, "trace", None)
-        if trace is None:
-            self._record = None
-            return self
+        trace = self._trace
         self._t0 = time.perf_counter()
-        record = SpanRecord(self._name, self._t0 - _local.trace_t0)
-        stack = _local.stack
+        record = SpanRecord(self._name, self._t0 - trace._t0)
+        stack = trace._stack
         if stack:
             stack[-1].children.append(record)
         else:
@@ -118,24 +132,23 @@ class _LiveSpan:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._record is None:
-            return
         self._record.duration = time.perf_counter() - self._t0
-        stack = getattr(_local, "stack", None)
+        stack = self._trace._stack
         if stack and stack[-1] is self._record:
             stack.pop()
 
 
 def span(name: str):
-    """Open a named span if a trace is active on this thread, else a no-op."""
-    if getattr(_local, "trace", None) is None:
+    """Open a named span if a trace is active in this context, else a no-op."""
+    trace = _active.get()
+    if trace is None:
         return _NOOP
-    return _LiveSpan(name)
+    return _LiveSpan(name, trace)
 
 
 def current_trace() -> Trace | None:
-    """The trace active on the calling thread, if any."""
-    return getattr(_local, "trace", None)
+    """The trace active in the calling thread or task, if any."""
+    return _active.get()
 
 
 class TraceBuffer:
@@ -187,7 +200,7 @@ class TraceBuffer:
 
 @contextmanager
 def trace_request(name: str, buffer: TraceBuffer | None = None, meta: dict | None = None):
-    """Open a trace for the current thread; deposit it in ``buffer`` on exit.
+    """Open a trace for the current context; deposit it in ``buffer`` on exit.
 
     Yields the :class:`Trace` so the caller can attach metadata (status
     code, route) before the context closes.  Nested calls are not
@@ -195,18 +208,16 @@ def trace_request(name: str, buffer: TraceBuffer | None = None, meta: dict | Non
     already-active trace makes this a pass-through that yields the
     existing trace and deposits nothing.
     """
-    if getattr(_local, "trace", None) is not None:
-        yield _local.trace
+    active = _active.get()
+    if active is not None:
+        yield active
         return
     trace = Trace(name, meta)
-    _local.trace = trace
-    _local.stack = []
-    _local.trace_t0 = time.perf_counter()
+    token = _active.set(trace)
     try:
         yield trace
     finally:
-        trace.duration = time.perf_counter() - _local.trace_t0
-        _local.trace = None
-        _local.stack = []
+        trace.duration = time.perf_counter() - trace._t0
+        _active.reset(token)
         if buffer is not None:
             buffer.add(trace)

@@ -4,12 +4,10 @@ One :class:`QueryService` per served predictor owns the
 :class:`~repro.query.index.PredictionIndex` lifecycle (lazy first
 build, generation-checked incremental refresh, the **loud** full-rebuild
 fallback when the incremental window is gone) and renders the four
-``GET /query/*`` responses.  Both serving topologies -- the threaded
-:mod:`repro.serving.server` and the multi-process
-:mod:`repro.serving.frontend` -- dispatch into the same
-:meth:`QueryService.answer`, which is what makes "byte-identical across
-topologies" a structural property here, exactly like the shared POST
-payload builders in :mod:`repro.serving.server`.
+``GET /query/*`` responses.  The front end
+(:mod:`repro.serving.frontend`) dispatches every query route into
+:meth:`QueryService.answer` on its writer predictor, at any worker
+count.
 
 Every response carries ``generation`` (the world generation the index
 reflects; transports mirror it into the ``X-World-Generation`` header)

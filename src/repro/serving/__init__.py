@@ -13,17 +13,18 @@ process-lifetime object into a served product:
   whole populations scored in one numpy pass, bit-identical to the
   sequential path (``predict_batch`` delegates to it automatically);
 - :mod:`repro.serving.cache` -- the thread-safe LRU map behind it;
-- :mod:`repro.serving.server` -- a stdlib JSON-over-HTTP inference
-  server (``repro serve``) exposing predict-home / predict-batch /
-  profile / explain-edge / ingest;
+- :mod:`repro.serving.server` -- the JSON-over-HTTP protocol: route
+  table, body caps, request metrics and the payload builders for
+  predict-home / predict-batch / profile / explain-edge / ingest;
+- :mod:`repro.serving.frontend` -- the HTTP server (``repro serve``):
+  an asyncio accept loop that micro-batches predict traffic
+  (``--coalesce-ms``) and solves it inline, or on forked workers;
 - :mod:`repro.serving.store` -- the generation-versioned
   :class:`WorldStore`: a single writer publishes each world as
   mmap-backed read-only arenas, readers acquire/release generations
   RCU-style;
-- :mod:`repro.serving.workers` / :mod:`repro.serving.frontend` -- the
-  multi-process topology (``repro serve --workers N``): forked
-  predictor workers attached to the store by mmap behind an asyncio
-  front end that micro-batches predict traffic (``--coalesce-ms``).
+- :mod:`repro.serving.workers` -- the ``repro serve --workers N``
+  predictor processes, attached to the store by mmap.
 
 Worlds served here are *live*: ``FoldInPredictor.refresh(delta)``
 splices a :class:`~repro.data.delta.WorldDelta` of arrivals into the
@@ -43,7 +44,9 @@ Typical flow::
     spec = UserSpec(friends=(3, 17), venues=(42,))
     predictor.predict(spec).home
 
-    make_server(predictor, port=8000).serve_forever()
+    server = FrontendThread(make_frontend(predictor, port=8000)).start()
+    ...
+    server.stop()
 """
 
 from repro.serving.artifacts import (
@@ -63,26 +66,27 @@ from repro.serving.foldin import (
     UserSpec,
     prediction_payload,
 )
-from repro.serving.server import ServingServer, make_server
+from repro.serving.frontend import AsyncFrontend, FrontendThread, make_frontend
 from repro.serving.store import StoreError, WorldLease, WorldStore
 
 __all__ = [
     "ARTIFACT_SUFFIX",
     "ARTIFACT_VERSION",
     "ArtifactError",
+    "AsyncFrontend",
     "BatchFoldInEngine",
     "FoldInEdgeExplanation",
     "FoldInPrediction",
     "FoldInPredictor",
+    "FrontendThread",
     "LRUCache",
-    "ServingServer",
     "StoreError",
     "UserSpec",
     "WorldLease",
     "WorldStore",
     "artifact_metadata",
     "load_result",
-    "make_server",
+    "make_frontend",
     "prediction_payload",
     "save_result",
     "score_population",

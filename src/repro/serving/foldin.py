@@ -152,6 +152,12 @@ class UserSpec:
     ids mentioned (repeats count, as in training), and
     ``observed_location`` an optional self-reported home (boosted in
     the prior exactly like a labeled training user).
+
+    Each relationship list is a multiset and is stored sorted: the
+    solve sums evidence in list order, and floating-point sums are not
+    order-invariant, so sorting once here is what makes every ordering
+    of the same evidence score bit-identically -- and what lets
+    :meth:`signature` key the cache by the multiset.
     """
 
     friends: tuple[int, ...] = ()
@@ -160,11 +166,9 @@ class UserSpec:
     observed_location: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "friends", tuple(int(v) for v in self.friends))
-        object.__setattr__(
-            self, "followers", tuple(int(v) for v in self.followers)
-        )
-        object.__setattr__(self, "venues", tuple(int(v) for v in self.venues))
+        for name in ("friends", "followers", "venues"):
+            values = sorted(int(v) for v in getattr(self, name))
+            object.__setattr__(self, name, tuple(values))
 
     @property
     def n_relationships(self) -> int:
@@ -174,14 +178,14 @@ class UserSpec:
     def signature(self) -> str:
         """Canonical content hash -- the cache key component.
 
-        Relationship *multisets* are order-insensitive, so permuted
-        requests share a cache entry.
+        The relationship lists are already sorted, so permuted requests
+        share a cache entry.
         """
         canonical = json.dumps(
             {
-                "f": sorted(self.friends),
-                "w": sorted(self.followers),
-                "v": sorted(self.venues),
+                "f": self.friends,
+                "w": self.followers,
+                "v": self.venues,
                 "o": self.observed_location,
             },
             separators=(",", ":"),

@@ -1,8 +1,7 @@
-"""The inference server: JSON-over-HTTP serving of a frozen artifact.
+"""The serving protocol: JSON-over-HTTP routes over a frozen artifact.
 
-A deliberately dependency-free server (stdlib ``http.server``,
-threaded) exposing the three serving tasks of the paper's problem
-statement as endpoints:
+A deliberately dependency-free protocol exposing the three serving
+tasks of the paper's problem statement as endpoints:
 
 - ``POST /predict-home``   -- fold-in home prediction for one or many
   user specs (``{"users": [...], "top_k": k}``); each spec is either
@@ -42,39 +41,27 @@ statement as endpoints:
 
 Requests and responses are JSON (except ``/metrics``, which is
 Prometheus text); errors come back as ``{"error": ...}`` with a 400
-(bad request), a 404 (unknown route), a 500 (unexpected server fault)
-or -- when a known route is hit with the wrong HTTP method -- a 405
-with an ``Allow`` header naming the supported method.  Each connection
-is handled on its own thread -- the predictor's shared mutable state
-(the LRU cache, the kernel-row cache, the solve counter) is
-lock-protected inside the predictor.
+(bad request), a 404 (unknown route), a 408 (request body not delivered
+in time), a 414/431 (request line / header block over its limit), a
+500 (unexpected server fault) or -- when a known route is hit with the
+wrong HTTP method -- a 405 with an ``Allow`` header naming the
+supported method.
 
-Every request is measured: a per-route latency histogram, request and
-error counters, and an in-flight gauge feed ``/metrics``, and each
-request runs under a :func:`repro.obs.trace.trace_request` trace whose
-span breakdown lands in the server's bounded trace ring (slow requests
-in a separate log).  With ``access_log`` set (``repro serve
---access-log``), one structured JSON line per request (route, status,
-latency_ms, trace id) is written -- the stdlib ``log_message`` chatter
-stays opt-in via ``quiet=False`` as before.
+This module is the protocol, not the transport: the route table, the
+body caps, the request metrics and the pure payload builders.  The one
+HTTP server speaking it is the asyncio front end in
+:mod:`repro.serving.frontend`; the forked predictor workers in
+:mod:`repro.serving.workers` render through the same builders.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import TraceBuffer, trace_request
-from repro.query.service import (
-    QUERY_ROUTES,
-    QueryService,
-    split_query_path,
-)
-from repro.serving.foldin import FoldInPredictor, prediction_payload
+from repro.query.service import QUERY_ROUTES
+from repro.serving.foldin import FoldInPredictor
 
 #: Cap on accepted request bodies (1 MiB): a single-user serving
 #: endpoint should never need more, and the cap bounds memory per
@@ -86,27 +73,18 @@ MAX_BODY_BYTES = 1 << 20
 #: on the order of a million small specs.
 MAX_BATCH_BODY_BYTES = 64 << 20
 
-#: The single route table: route -> handler method name.  Both method
-#: dispatch and 405-vs-404 classification read it, so a route added
-#: here automatically gets the right ``Allow`` header everywhere.
-GET_HANDLERS = {
-    "/healthz": "_healthz",
-    "/artifact": "_artifact",
-    "/metrics": "_metrics",
-    # The geo-analytics layer: every /query/* route funnels into one
-    # handler that defers to the shared QueryService dispatch, so both
-    # topologies render the same bytes from the same builders.
-    **{route: "_query" for route in QUERY_ROUTES},
-}
-POST_HANDLERS = {
-    "/predict-home": "_predict_home",
-    "/predict-batch": "_predict_batch",
-    "/profile": "_profile",
-    "/explain-edge": "_explain_edge",
-    "/ingest": "_ingest",
-}
-GET_ROUTES = tuple(GET_HANDLERS)
-POST_ROUTES = tuple(POST_HANDLERS)
+#: The single route table.  Method dispatch and 405-vs-404
+#: classification both read it, so a route added here automatically
+#: gets the right ``Allow`` header.  Every ``/query/*`` route defers to
+#: the shared :meth:`QueryService.answer` dispatch.
+GET_ROUTES = ("/healthz", "/artifact", "/metrics", *QUERY_ROUTES)
+POST_ROUTES = (
+    "/predict-home",
+    "/predict-batch",
+    "/profile",
+    "/explain-edge",
+    "/ingest",
+)
 
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -126,420 +104,22 @@ HTTP_ERRORS = _REG.counter(
 )
 HTTP_LATENCY = _REG.histogram(
     "repro_http_request_seconds",
-    "Wall time from request dispatch to response written, by route",
+    "Wall time from request head read to response ready, by route",
     labelnames=("route",),
 )
 HTTP_INFLIGHT = _REG.gauge(
     "repro_http_inflight_requests",
-    "Requests currently being handled across all server threads",
+    "Requests currently being handled by the server",
 )
-
-
-class ServingServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` owning the predictor it serves."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(
-        self,
-        address,
-        predictor: FoldInPredictor,
-        quiet: bool = True,
-        journal=None,
-        access_log=None,
-        slow_request_seconds: float = 0.5,
-    ):
-        self.predictor = predictor
-        self.quiet = quiet
-        #: Optional :class:`repro.data.journal.DeltaJournal`: when set,
-        #: ``POST /ingest`` write-ahead journals every delta before
-        #: applying it, and ``/healthz`` reports the journal position.
-        self.journal = journal
-        #: Optional writable text stream: when set, every request emits
-        #: one structured JSON access-log line (route, status,
-        #: latency_ms, trace id).
-        self.access_log = access_log
-        #: The geo-analytics layer behind ``GET /query/*``: owns the
-        #: prediction index (built lazily on first query, refreshed
-        #: incrementally as ingest advances the world generation).
-        self.query_service = QueryService(predictor, journal=journal)
-        self.trace_buffer = TraceBuffer(slow_threshold=slow_request_seconds)
-        self.started_unix = time.time()
-        self._access_log_lock = threading.Lock()
-        #: Graceful-drain bookkeeping: requests this server is handling
-        #: right now, and an event that is set exactly while the count
-        #: is zero.  :meth:`drain` stops accepting and then waits on it.
-        self._inflight_count = 0
-        self._inflight_lock = threading.Lock()
-        self._idle = threading.Event()
-        self._idle.set()
-        super().__init__(address, ServingHandler)
-
-    def _track_request_start(self) -> None:
-        with self._inflight_lock:
-            self._inflight_count += 1
-            self._idle.clear()
-
-    def _track_request_end(self) -> None:
-        with self._inflight_lock:
-            self._inflight_count -= 1
-            if self._inflight_count <= 0:
-                self._idle.set()
-
-    def drain(self, deadline_seconds: float = 10.0) -> bool:
-        """Stop accepting, let in-flight requests finish, close.
-
-        The SIGTERM/SIGINT path: no new connections are dispatched once
-        this runs, but handler threads mid-response get up to
-        ``deadline_seconds`` to write their bodies instead of having
-        the socket torn from under them.  Returns ``True`` when the
-        server went idle within the deadline.  Must be called from a
-        thread other than the one blocked in ``serve_forever`` --
-        ``shutdown()`` waits for that loop to exit.
-        """
-        self.shutdown()
-        drained = self._idle.wait(timeout=deadline_seconds)
-        self.server_close()
-        return drained
-
-
-class _RequestError(ValueError):
-    """A client error that maps to a 400 response."""
-
-
-class ServingHandler(BaseHTTPRequestHandler):
-    """Routes serving requests to the predictor."""
-
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
-    #: Socket timeout: a client that declares a Content-Length it never
-    #: delivers must not pin a handler thread forever.
-    timeout = 30
-
-    # -- plumbing ----------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:
-        """Silence the stdlib per-request stderr log (traced instead)."""
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
-
-    def _send_body(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: dict | None = None,
-    ) -> None:
-        self._response_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            # Tell keep-alive clients the socket is going away (set on
-            # error paths that leave the request body unread).
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self, status: int, payload, extra_headers: dict | None = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(status, body, "application/json", extra_headers)
-
-    def _reject_unknown(self, allowed: str | None) -> None:
-        """404 for an unknown route, 405 + Allow for a known one.
-
-        Either way the request body (if any) was never read: close so a
-        keep-alive client cannot desync on the leftover bytes.
-        """
-        self.close_connection = True
-        if allowed is not None:
-            self._send_json(
-                405,
-                {
-                    "error": (
-                        f"method not allowed for {self.path}; use {allowed}"
-                    )
-                },
-                extra_headers={"Allow": allowed},
-            )
-        else:
-            self._send_json(404, {"error": f"unknown route {self.path}"})
-
-    def _read_json(self, max_bytes: int = MAX_BODY_BYTES):
-        raw_length = self.headers.get("Content-Length")
-        # Strict ASCII digits only: Python's int() also accepts "1_0",
-        # "+10" and whitespace, and str.isdigit() alone admits Unicode
-        # digits like "²" that int() then rejects -- either way the
-        # body would be mis-framed and desync a keep-alive connection.
-        stripped = raw_length.strip() if raw_length is not None else "0"
-        if not (stripped.isascii() and stripped.isdigit()):
-            # A malformed header (e.g. "abc") means the body size is
-            # unknowable: answer 400 and close, never 500, and never
-            # leave unread bytes to desync a keep-alive connection.
-            self.close_connection = True
-            raise _RequestError(
-                f"invalid Content-Length header {raw_length!r}"
-            )
-        length = int(raw_length) if raw_length is not None else 0
-        if length <= 0:
-            raise _RequestError("request body required")
-        if length > max_bytes:
-            # The body stays unread; drop the connection so the bytes
-            # cannot be parsed as the next request line.
-            self.close_connection = True
-            raise _RequestError(f"request body exceeds {max_bytes} bytes")
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _RequestError(f"invalid JSON body: {exc}") from exc
-
-    # -- instrumented dispatch ---------------------------------------------
-
-    def _route_label(self) -> str:
-        """The metrics label for this request's path (bounded cardinality).
-
-        The query string never reaches the label (``/query/radius?lat=…``
-        collapses to ``/query/radius``), so client-controlled parameters
-        cannot explode series cardinality any more than unknown paths can.
-        """
-        route, _ = split_query_path(self.path)
-        if route in GET_HANDLERS or route in POST_HANDLERS:
-            return route
-        return "<unknown>"
-
-    def _dispatch(self, method: str) -> None:
-        """Run one request under metrics + tracing + the access log.
-
-        All response paths funnel through :meth:`_send_body`, which
-        records the status; anything a handler raises past the expected
-        client-error types becomes a 500 instead of killing the
-        connection thread silently.
-        """
-        route = self._route_label()
-        self._response_status = 0
-        trace_id = ""
-        t0 = time.perf_counter()
-        HTTP_INFLIGHT.inc()
-        tracker = getattr(self.server, "_track_request_start", None)
-        if tracker is not None:
-            tracker()
-        try:
-            buffer = getattr(self.server, "trace_buffer", None)
-            with trace_request(
-                f"{method} {route}", buffer, meta={"route": route}
-            ) as trace:
-                trace_id = trace.trace_id
-                try:
-                    if method == "GET":
-                        self._handle_get()
-                    else:
-                        self._handle_post()
-                except (_RequestError, ValueError, KeyError, TypeError) as exc:
-                    self._send_json(400, {"error": str(exc)})
-                except Exception as exc:
-                    # Defensive catch-all: answer 500 if the socket is
-                    # still writable, and always close -- the failed
-                    # handler may have left the body half-read.
-                    self.close_connection = True
-                    try:
-                        self._send_json(
-                            500,
-                            {"error": f"internal error: {type(exc).__name__}"},
-                        )
-                    except OSError:
-                        pass
-                trace.meta["status"] = self._response_status
-        finally:
-            HTTP_INFLIGHT.dec()
-            untracker = getattr(self.server, "_track_request_end", None)
-            if untracker is not None:
-                untracker()
-            elapsed = time.perf_counter() - t0
-            status = str(self._response_status)
-            HTTP_REQUESTS.labels(route=route, method=method, status=status).inc()
-            HTTP_LATENCY.labels(route=route).observe(elapsed)
-            if self._response_status >= 400:
-                HTTP_ERRORS.labels(route=route, status=status).inc()
-            self._write_access_log(method, route, elapsed, trace_id)
-
-    def _write_access_log(
-        self, method: str, route: str, elapsed: float, trace_id: str
-    ) -> None:
-        stream = getattr(self.server, "access_log", None)
-        if stream is None:
-            return
-        line = json.dumps(
-            {
-                "ts": round(time.time(), 6),
-                "method": method,
-                "route": route,
-                "path": self.path,
-                "status": self._response_status,
-                "latency_ms": round(elapsed * 1e3, 3),
-                "trace_id": trace_id,
-            }
-        )
-        lock = getattr(self.server, "_access_log_lock", None)
-        try:
-            if lock is not None:
-                with lock:
-                    stream.write(line + "\n")
-                    stream.flush()
-            else:
-                stream.write(line + "\n")
-                stream.flush()
-        except (OSError, ValueError):
-            pass  # a dead log sink must never fail the request
-
-    # -- GET ---------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler contract)
-        """stdlib handler hook: dispatch GET requests."""
-        self._dispatch("GET")
-
-    def _handle_get(self) -> None:
-        route, query = split_query_path(self.path)
-        name = GET_HANDLERS.get(route)
-        if name is None:
-            self._reject_unknown("POST" if route in POST_ROUTES else None)
-            return
-        if name == "_query":
-            payload = self._query(route, query)
-            self._send_json(
-                200,
-                payload,
-                extra_headers={
-                    "X-World-Generation": str(payload["generation"])
-                },
-            )
-            return
-        result = getattr(self, name)()
-        if isinstance(result, bytes):
-            # /metrics returns a pre-encoded non-JSON body.
-            self._send_body(200, result, METRICS_CONTENT_TYPE)
-        else:
-            self._send_json(200, result)
-
-    def _healthz(self) -> dict:
-        """Liveness plus per-subsystem blocks under stable top-level keys.
-
-        Schema contract (tests/test_serving_obs.py): ``status`` plus the
-        blocks ``artifact``/``world``/``cache``/``journal``/``metrics``/
-        ``serving`` are always present; ``journal`` is ``None`` on an
-        unjournaled server rather than absent, and ``serving`` names the
-        topology (here always the single-process threaded shape).
-        """
-        server = self.server
-        return healthz_payload(
-            server.predictor,
-            journal=getattr(server, "journal", None),
-            trace_buffer=getattr(server, "trace_buffer", None),
-            started_unix=getattr(server, "started_unix", None),
-            serving=threaded_serving_block(),
-        )
-
-    def _metrics(self) -> bytes:
-        """The process registry in Prometheus text exposition format."""
-        return obs_metrics.render_prometheus().encode("utf-8")
-
-    def _artifact(self) -> dict:
-        """``GET /artifact``: identity and parameters of the artifact."""
-        return artifact_payload(self.server.predictor)
-
-    def _query(self, route: str, query: str) -> dict:
-        """``GET /query/*``: defer to the shared query-service dispatch."""
-        return self.server.query_service.answer(route, query)
-
-    # -- other methods -----------------------------------------------------
-
-    def _do_unsupported(self) -> None:
-        """PUT/DELETE/PATCH: 405 on known routes, 404 otherwise."""
-        route, _ = split_query_path(self.path)
-        if route in GET_ROUTES:
-            self._reject_unknown("GET")
-        elif route in POST_ROUTES:
-            self._reject_unknown("POST")
-        else:
-            self._reject_unknown(None)
-
-    do_PUT = _do_unsupported  # noqa: N815 (stdlib handler contract)
-    do_DELETE = _do_unsupported  # noqa: N815
-    do_PATCH = _do_unsupported  # noqa: N815
-
-    # -- POST --------------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib handler contract)
-        """stdlib handler hook: dispatch POST requests."""
-        self._dispatch("POST")
-
-    def _handle_post(self) -> None:
-        route, _ = split_query_path(self.path)
-        name = POST_HANDLERS.get(route)
-        if name is None:
-            self._reject_unknown("GET" if route in GET_ROUTES else None)
-            return
-        max_bytes = (
-            MAX_BATCH_BODY_BYTES
-            if route == "/predict-batch"
-            else MAX_BODY_BYTES
-        )
-        payload = self._read_json(max_bytes=max_bytes)
-        self._send_json(200, getattr(self, name)(payload))
-
-    def _predict_home(self, payload) -> dict:
-        return predict_home_payload(self.server.predictor, payload)
-
-    def _predict_batch(self, payload) -> list:
-        """Bulk scoring: a JSON array of specs in, an array out.
-
-        The body *is* the spec list (no wrapper object), so callers can
-        stream a population dump straight through; predictions come
-        back in request order, scored by the vectorized batch engine
-        past the predictor's crossover size.
-        """
-        return predict_batch_payload(self.server.predictor, payload)
-
-    def _profile(self, payload) -> dict:
-        return profile_payload(self.server.predictor, payload)
-
-    def _ingest(self, payload) -> dict:
-        """Apply one delta batch to the served world, live.
-
-        The response names the new world's identity (chained hash +
-        generation) so callers can checkpoint their ingest position --
-        ``score_population(since_generation=...)`` re-scores exactly
-        the users this delta touched.
-
-        On a journaled server (``repro serve --journal``) the delta is
-        validated, write-ahead appended to the journal and only then
-        applied -- an acknowledged ingest survives ``kill -9``.
-        """
-        return ingest_payload(
-            self.server.predictor,
-            payload,
-            journal=getattr(self.server, "journal", None),
-        )
-
-    def _explain_edge(self, payload) -> dict:
-        return explain_edge_payload(self.server.predictor, payload)
 
 
 # -- shared response builders ------------------------------------------------
 #
-# Pure payload constructors over a predictor: the threaded handler
-# methods above, the multi-process worker loop
-# (:mod:`repro.serving.workers`) and the async front end
-# (:mod:`repro.serving.frontend`) all render responses through these
-# same functions, which is what makes "bit-identical to the
-# single-process path" a structural property rather than a test
-# assertion.  Client errors are ``ValueError``s; every transport maps
-# them to a 400.
+# Pure payload constructors over a predictor: the front end
+# (:mod:`repro.serving.frontend`) and the multi-process worker loop
+# (:mod:`repro.serving.workers`) render responses through these same
+# functions, so a body does not depend on which process built it.
+# Client errors are ``ValueError``s; the front end maps them to a 400.
 
 
 def require_object(payload) -> dict:
@@ -547,34 +127,6 @@ def require_object(payload) -> dict:
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
     return payload
-
-
-def predict_home_payload(predictor: FoldInPredictor, payload) -> dict:
-    """``POST /predict-home``: fold-in predictions for a spec list."""
-    payload = require_object(payload)
-    users = payload.get("users")
-    if not isinstance(users, list) or not users:
-        raise ValueError('"users" must be a non-empty list of specs')
-    top_k = int(payload.get("top_k", 3))
-    specs = [predictor.resolve_request(entry) for entry in users]
-    predictions = predictor.predict_batch(specs)
-    gaz = predictor.dataset.gazetteer
-    return {
-        "artifact_id": predictor.artifact_id,
-        "predictions": [
-            prediction_payload(p, gaz, top_k=top_k) for p in predictions
-        ],
-    }
-
-
-def predict_batch_payload(predictor: FoldInPredictor, payload) -> list:
-    """``POST /predict-batch``: a JSON array of specs in, an array out."""
-    if not isinstance(payload, list):
-        raise ValueError("request body must be a JSON array of user specs")
-    specs = [predictor.resolve_request(entry) for entry in payload]
-    predictions = predictor.predict_batch(specs)
-    gaz = predictor.dataset.gazetteer
-    return [prediction_payload(p, gaz) for p in predictions]
 
 
 def profile_payload(predictor: FoldInPredictor, payload) -> dict:
@@ -658,10 +210,11 @@ def artifact_payload(predictor: FoldInPredictor) -> dict:
 def apply_ingest(predictor: FoldInPredictor, payload, journal=None):
     """Parse + apply one ingest body; returns ``(world, delta)``.
 
-    Split out of :func:`ingest_payload` because the multi-process front
-    end needs the delta itself after applying -- its ``label_users``
-    set rides along with the :meth:`WorldStore.publish` so readers can
-    invalidate surgically.
+    On a journaled server the delta is validated, write-ahead appended
+    and only then applied, so an acknowledged ingest survives
+    ``kill -9``.  The delta itself is returned because the multi-process
+    front end publishes its ``label_users`` set with the new generation
+    so readers can invalidate surgically.
     """
     from repro.data.delta import WorldDelta
 
@@ -702,25 +255,6 @@ def ingest_response(predictor: FoldInPredictor, world, journal=None) -> dict:
     return response
 
 
-def ingest_payload(
-    predictor: FoldInPredictor, payload, journal=None
-) -> dict:
-    """``POST /ingest``: splice one delta into the served world."""
-    world, _ = apply_ingest(predictor, payload, journal=journal)
-    return ingest_response(predictor, world, journal=journal)
-
-
-def threaded_serving_block() -> dict:
-    """The ``serving`` healthz block of the single-process server."""
-    return {
-        "mode": "threaded",
-        "workers": 0,
-        "coalesce_ms": None,
-        "store": None,
-        "worker_info": [],
-    }
-
-
 def healthz_payload(
     predictor: FoldInPredictor,
     journal=None,
@@ -730,10 +264,11 @@ def healthz_payload(
 ) -> dict:
     """``GET /healthz``: liveness plus stable per-subsystem blocks.
 
-    ``serving`` describes the process topology -- the threaded server
-    passes :func:`threaded_serving_block`, the multi-process front end
-    its worker-pool snapshot (mode/workers/coalesce_ms/store/
-    worker_info).  The key is always present.
+    Schema contract (tests/test_serving_obs.py): ``status`` plus the
+    blocks ``artifact``/``world``/``cache``/``journal``/``metrics``/
+    ``serving`` are always present; ``journal`` is ``None`` on an
+    unjournaled server rather than absent.  ``serving`` describes the
+    process topology (mode/workers/coalesce_ms/store/worker_info).
     """
     world = predictor.world
     return {
@@ -760,23 +295,5 @@ def healthz_payload(
                 trace_buffer.stats() if trace_buffer is not None else None
             ),
         },
-        "serving": serving if serving is not None else threaded_serving_block(),
+        "serving": serving,
     }
-
-
-def make_server(
-    predictor: FoldInPredictor,
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    quiet: bool = True,
-    journal=None,
-    access_log=None,
-) -> ServingServer:
-    """Bind a serving server (``port=0`` picks a free port -- tests)."""
-    return ServingServer(
-        (host, port),
-        predictor,
-        quiet=quiet,
-        journal=journal,
-        access_log=access_log,
-    )

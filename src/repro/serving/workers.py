@@ -3,7 +3,7 @@
 Each worker is a forked child running the *existing* fold-in stack
 unchanged -- the same :class:`~repro.serving.foldin.FoldInPredictor`,
 the same sequential/batch solvers, the same response builders as the
-threaded server (:mod:`repro.serving.server`).  What changes is only
+front end's inline path (:mod:`repro.serving.server`).  What changes is only
 where the world comes from: instead of sharing the parent's address
 space, a worker attaches generations published through a
 :class:`~repro.serving.store.WorldStore` by mmap, so N workers cost one
@@ -112,11 +112,12 @@ def serve_predict_requests(
     ``predict_batch`` **once** -- signature dedup and the batch-engine
     crossover then work across the whole micro-batch, which is where
     coalescing buys throughput.  Each request still gets exactly the
-    body the threaded server would have built (same
-    ``prediction_payload`` rendering, same error strings); only the
-    ``cached`` marker can differ, because a spec solved for one request
-    in the batch is a cache hit for its duplicates.  Per-request client
-    errors 400 individually; they never fail the batch.
+    body it would get served alone (same ``prediction_payload``
+    rendering, same error strings); only the ``cached`` marker can
+    differ, because a spec solved for one request in the batch is a
+    cache hit for its duplicates.  Per-request client errors 400
+    individually; they never fail the batch.  The front end calls this
+    in a worker process, or inline on the writer at ``--workers 0``.
     """
     parsed: list[tuple] = []
     merged: list = []
@@ -362,6 +363,9 @@ class WorkerPool:
         # copy-on-write instead of re-unpickling it, and nothing about
         # the predictor survives a spawn-pickle anyway (locks, caches).
         ctx = multiprocessing.get_context("fork")
+        #: The store the workers attach; the front end publishes each
+        #: ingest here.
+        self.store = store
         self.call_timeout = call_timeout
         self.workers: list[WorkerHandle] = []
         self._rr = 0

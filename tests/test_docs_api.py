@@ -1,7 +1,7 @@
 """docs/API.md must cover every registered HTTP route, and only those.
 
-The route tables in :mod:`repro.serving.server` (``GET_HANDLERS`` /
-``POST_HANDLERS``, shared by both serving topologies) are diffed
+The route tables in :mod:`repro.serving.server` (``GET_ROUTES`` /
+``POST_ROUTES``, which the front end routes by) are diffed
 against the ``### GET /...`` / ``### POST /...`` headings in
 docs/API.md: an undocumented route or a documented-but-unregistered
 route fails here, which is what keeps the reference complete as the

@@ -52,7 +52,7 @@ from repro.data.journal import (
 )
 from repro.serving.batch import score_population
 from repro.serving.foldin import FoldInPredictor
-from repro.serving.server import make_server
+from repro.serving.frontend import FrontendThread, make_frontend
 
 
 @pytest.fixture(scope="module")
@@ -519,13 +519,12 @@ class TestJournaledServer:
     def served(self, fitted_result, tmp_path):
         predictor = FoldInPredictor(fitted_result, artifact_id="jrnl-test")
         _world, journal, _ = open_journal(tmp_path, predictor.world)
-        server = make_server(predictor, port=0, journal=journal)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
+        server = FrontendThread(
+            make_frontend(predictor, port=0, journal=journal)
+        ).start()
+        base = f"http://127.0.0.1:{server.port}"
         yield base, predictor, journal, tmp_path
-        server.shutdown()
-        server.server_close()
+        server.stop()
         journal.close()
 
     @staticmethod
@@ -584,18 +583,15 @@ class TestJournaledServer:
         predictor2 = FoldInPredictor(
             fitted_result, artifact_id="jrnl-test", world=world
         )
-        server2 = make_server(predictor2, port=0, journal=journal2)
-        thread = threading.Thread(target=server2.serve_forever, daemon=True)
-        thread.start()
+        server2 = FrontendThread(
+            make_frontend(predictor2, port=0, journal=journal2)
+        ).start()
         try:
-            health = self._get(
-                f"http://127.0.0.1:{server2.server_address[1]}", "/healthz"
-            )
+            health = self._get(f"http://127.0.0.1:{server2.port}", "/healthz")
             assert health["world"]["generation"] == 3
             assert health["journal"]["generation"] == 3
         finally:
-            server2.shutdown()
-            server2.server_close()
+            server2.stop()
             journal2.close()
 
 

@@ -7,7 +7,6 @@ traceback.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -17,7 +16,7 @@ from repro.core.params import MLPParams
 from repro.data.generator import SyntheticWorldConfig, generate_world
 from repro.serving.artifacts import save_result
 from repro.serving.foldin import FoldInPredictor
-from repro.serving.server import make_server
+from repro.serving.frontend import FrontendThread, make_frontend
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +98,12 @@ class TestRemote:
     def test_url_mode_matches_offline(self, artifact, capsys):
         path, result = artifact
         predictor = FoldInPredictor(result, artifact_id="cli-test")
-        server = make_server(predictor, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
+        server = FrontendThread(make_frontend(predictor, port=0)).start()
         try:
             rc = main(
                 [
                     "query", "top-cities",
-                    "--url", f"http://{host}:{port}", "-k", "4",
+                    "--url", f"http://127.0.0.1:{server.port}", "-k", "4",
                 ]
             )
             assert rc == 0
@@ -123,9 +119,7 @@ class TestRemote:
                 payload.pop("artifact_id")
             assert remote == offline
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            server.stop()
 
     def test_unreachable_url_is_exit_2(self, artifact, capsys):
         rc = main(

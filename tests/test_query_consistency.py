@@ -8,12 +8,11 @@ seeded random sequence of deltas is streamed through ``POST /ingest``
 on each topology while a reference predictor replays the identical
 payloads offline; after every round, all four query routes are diffed
 against a brand-new :class:`QueryService` over the reference (whose
-first answer is always a full build).  Checked on both the threaded
-server and the multi-process front end.
+first answer is always a full build).  Checked on the front end at 0
+workers and at 2.
 """
 
 import json
-import threading
 import urllib.request
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.data.generator import SyntheticWorldConfig, generate_world
 from repro.query.service import QueryService
 from repro.serving.foldin import FoldInPredictor
 from repro.serving.frontend import FrontendThread, make_frontend
-from repro.serving.server import apply_ingest, make_server
+from repro.serving.server import apply_ingest
 from repro.serving.store import WorldStore
 
 ROUNDS = 4
@@ -119,19 +118,14 @@ def _run_property(base_url, reference: FoldInPredictor) -> None:
             )
 
 
-def test_threaded_server_consistency(result):
+def test_inline_frontend_consistency(result):
     predictor = FoldInPredictor(result, artifact_id="consistency")
-    server = make_server(predictor, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
+    ft = FrontendThread(make_frontend(predictor, port=0)).start()
     try:
         reference = FoldInPredictor(result, artifact_id="consistency")
-        _run_property(f"http://{host}:{port}", reference)
+        _run_property(f"http://127.0.0.1:{ft.port}", reference)
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        ft.stop()
 
 
 def test_frontend_consistency(result, tmp_path):

@@ -1,14 +1,11 @@
-"""HTTP tests for the ``GET /query/*`` routes, across both topologies.
+"""HTTP tests for the ``GET /query/*`` routes, at 0 and at 2 workers.
 
-The acceptance contract: the threaded server and the multi-process
-async front end must serve every query route **byte-identically** (both
-dispatch into one shared :meth:`QueryService.answer`, so this is a
-structural property -- these tests keep it that way), stamp responses
-with ``X-World-Generation``, and agree on 400/404/405 semantics.
+The acceptance contract: at any worker count the front end serves
+every query route from the writer's :meth:`QueryService.answer`, stamps
+responses with ``X-World-Generation``, and keeps 400/404/405 semantics.
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -20,7 +17,6 @@ from repro.data.generator import SyntheticWorldConfig, generate_world
 from repro.query.service import QUERY_ROUTES
 from repro.serving.foldin import FoldInPredictor
 from repro.serving.frontend import FrontendThread, make_frontend
-from repro.serving.server import make_server
 from repro.serving.store import WorldStore
 
 
@@ -36,16 +32,11 @@ def result(dataset):
 
 
 @pytest.fixture(scope="module")
-def threaded_url(result):
+def inline_url(result):
     predictor = FoldInPredictor(result, artifact_id="query-http")
-    server = make_server(predictor, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    ft = FrontendThread(make_frontend(predictor, port=0)).start()
+    yield f"http://127.0.0.1:{ft.port}"
+    ft.stop()
 
 
 @pytest.fixture(scope="module")
@@ -79,37 +70,7 @@ QUERIES = [
 ]
 
 
-class TestByteIdentityAcrossTopologies:
-    @pytest.mark.parametrize(("route", "query"), QUERIES)
-    def test_bodies_match_byte_for_byte(
-        self, threaded_url, frontend_url, route, query
-    ):
-        target = route + ("?" + query if query else "")
-        status_a, body_a, headers_a = _get_raw(threaded_url + target)
-        status_b, body_b, headers_b = _get_raw(frontend_url + target)
-        assert status_a == status_b == 200
-        assert body_a == body_b
-        assert (
-            headers_a["X-World-Generation"]
-            == headers_b["X-World-Generation"]
-            == "0"
-        )
-
-    def test_error_bodies_match(self, threaded_url, frontend_url):
-        for target in (
-            "/query/radius?radius=10",
-            "/query/top-cities?k=bogus",
-            "/query/aggregate?by=planet",
-            "/query/venue-residents",
-        ):
-            status_a, body_a, _ = _get_raw(threaded_url + target)
-            status_b, body_b, _ = _get_raw(frontend_url + target)
-            assert status_a == status_b == 400
-            assert body_a == body_b
-            assert b"error" in body_a
-
-
-@pytest.mark.parametrize("base", ["threaded_url", "frontend_url"])
+@pytest.mark.parametrize("base", ["inline_url", "frontend_url"])
 class TestQueryRouteSemantics:
     def test_generation_header_matches_body(self, base, request):
         url = request.getfixturevalue(base)
@@ -118,6 +79,28 @@ class TestQueryRouteSemantics:
         payload = json.loads(body)
         assert headers["X-World-Generation"] == str(payload["generation"])
         assert payload["artifact_id"] == "query-http"
+
+    @pytest.mark.parametrize(("route", "query"), QUERIES)
+    def test_queries_answer_at_generation_zero(self, base, request, route, query):
+        url = request.getfixturevalue(base)
+        status, body, headers = _get_raw(
+            url + route + ("?" + query if query else "")
+        )
+        assert status == 200
+        assert json.loads(body)["generation"] == 0
+        assert headers["X-World-Generation"] == "0"
+
+    def test_bad_parameters_are_400(self, base, request):
+        url = request.getfixturevalue(base)
+        for target in (
+            "/query/radius?radius=10",
+            "/query/top-cities?k=bogus",
+            "/query/aggregate?by=planet",
+            "/query/venue-residents",
+        ):
+            status, body, _ = _get_raw(url + target)
+            assert status == 400
+            assert json.loads(body)["error"]
 
     def test_all_query_routes_registered(self, base, request):
         url = request.getfixturevalue(base)

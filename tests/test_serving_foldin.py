@@ -118,6 +118,26 @@ class TestCache:
         assert a.signature() == b.signature()
         assert a.signature() != UserSpec(friends=(1, 2)).signature()
 
+    def test_permuted_evidence_solves_bit_identically(self, predictor, world):
+        """The cache keys a spec by its evidence multiset, so every
+        ordering of that multiset must solve to the very same bits."""
+        compared = 0
+        for uid in range(world.n_users):
+            spec = predictor.spec_for_training_user(uid)
+            if spec.n_relationships < 2:
+                continue
+            twin = UserSpec(
+                friends=spec.friends[::-1],
+                followers=spec.followers[::-1],
+                venues=spec.venues[::-1],
+                observed_location=spec.observed_location,
+            )
+            a = predictor.predict(spec, use_cache=False)
+            b = predictor.predict(twin, use_cache=False)
+            assert a.profile.entries == b.profile.entries, uid
+            compared += 1
+        assert compared >= 100
+
     def test_use_cache_false_bypasses(self, result, world):
         predictor = FoldInPredictor(result, artifact_id="bypass")
         spec = UserSpec(friends=tuple(world.labeled_user_ids[:2]))

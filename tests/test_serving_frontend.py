@@ -2,11 +2,8 @@
 
 The hard contracts exercised here:
 
-- every route of the threaded server exists on the async front end
-  with the same status codes and error strings;
-- predict responses are **bit-identical** to the single-process
-  threaded server (only the ``cached`` marker -- serving metadata
-  about batch-local dedup -- may differ);
+- every route keeps its status codes and error strings when predict
+  traffic is dispatched to worker processes;
 - RCU: with concurrent ``/ingest`` publishes, every response is
   bit-identical to a single-process solve against the generation named
   by its ``X-World-Generation`` header;
@@ -37,7 +34,6 @@ from repro.serving.frontend import (
     FrontendThread,
     make_frontend,
 )
-from repro.serving.server import make_server
 from repro.serving.store import WorldStore
 
 
@@ -77,20 +73,6 @@ def served(result, tmp_path_factory):
 def base_url(served):
     ft, _, _ = served
     return f"http://127.0.0.1:{ft.port}"
-
-
-@pytest.fixture(scope="module")
-def threaded_url(result):
-    """The single-process reference server over the same artifact."""
-    predictor = FoldInPredictor(result, artifact_id="frontend-test")
-    server = make_server(predictor, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
 
 
 def _get(url: str):
@@ -213,45 +195,6 @@ class TestRoutes:
         )
         assert status == 200
         assert headers["X-World-Generation"] == "0"
-
-
-class TestBitIdentity:
-    """Frontend bodies == threaded bodies, modulo the ``cached`` marker."""
-
-    BODIES = [
-        ("/predict-home", {"users": [{"user_id": 7}]}),
-        ("/predict-home", {"users": [{"user_id": 3}, {"user_id": 12}],
-                           "top_k": 5}),
-        ("/predict-home", {"users": [
-            {"friends": [3, 17], "venues": [2]},
-            {"followers": [9], "observed_location": 1},
-        ]}),
-        ("/predict-batch", [{"user_id": 4}, {"friends": [1, 2]},
-                            {"user_id": 4}]),
-        ("/profile", {"user_id": 5, "top_k": 4}),
-        ("/explain-edge", {"user": {"user_id": 6}, "neighbor": 9,
-                           "direction": "out"}),
-    ]
-
-    def test_bodies_match_threaded_server(self, base_url, threaded_url):
-        for route, body in self.BODIES:
-            status_f, payload_f, _ = _post(f"{base_url}{route}", body)
-            status_t, payload_t, _ = _post(f"{threaded_url}{route}", body)
-            assert status_f == status_t == 200, (route, payload_f)
-            assert _strip_cached(payload_f) == _strip_cached(payload_t), route
-
-    def test_artifact_matches_threaded_server(self, base_url, threaded_url):
-        _, payload_f = _get(f"{base_url}/artifact")
-        _, payload_t = _get(f"{threaded_url}/artifact")
-        assert payload_f == payload_t
-
-    def test_error_strings_match_threaded_server(
-        self, base_url, threaded_url
-    ):
-        body = {"users": [{"user_id": 99999}]}
-        _, error_f, _ = _post(f"{base_url}/predict-home", body)
-        _, error_t, _ = _post(f"{threaded_url}/predict-home", body)
-        assert error_f == error_t
 
 
 class TestCoalescing:

@@ -26,11 +26,11 @@ from repro.data.generator import SyntheticWorldConfig, generate_world
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import REGISTRY
 from repro.serving.foldin import FoldInPredictor
+from repro.serving.frontend import FrontendThread, make_frontend
 from repro.serving.server import (
     HTTP_LATENCY,
     HTTP_REQUESTS,
     METRICS_CONTENT_TYPE,
-    make_server,
 )
 
 
@@ -53,16 +53,10 @@ def access_log_stream():
 @pytest.fixture(scope="module")
 def served(fitted, access_log_stream):
     predictor = FoldInPredictor(fitted, artifact_id="obs-test")
-    server = make_server(
-        predictor, host="127.0.0.1", port=0, access_log=access_log_stream
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield predictor, server, f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    frontend = make_frontend(predictor, port=0, access_log=access_log_stream)
+    server = FrontendThread(frontend).start()
+    yield predictor, frontend, f"http://127.0.0.1:{server.port}"
+    server.stop()
 
 
 @pytest.fixture()
@@ -229,8 +223,9 @@ class TestHealthzSchema:
         assert set(serving) == {
             "mode", "workers", "coalesce_ms", "store", "worker_info",
         }
-        assert serving["mode"] == "threaded"
+        assert serving["mode"] == "inline"
         assert serving["workers"] == 0
+        assert serving["store"] is None
         assert serving["worker_info"] == []
 
     def test_payload_is_json_serializable_roundtrip(self, base_url):
@@ -282,8 +277,81 @@ class TestAccessLog:
             json.loads(line)
 
 
+class TestTracing:
+    """Every route runs under a trace; executor-hop spans join it.
+
+    A request is counted, logged and its trace deposited before its
+    response is written, so nothing here needs to poll.
+    """
+
+    def test_every_request_is_traced(self, base_url, served, access_log_stream):
+        _, frontend, _ = served
+        _, before = _get_json(f"{base_url}/healthz")
+        _post(f"{base_url}/predict-home", {"users": [{"user_id": 8}]})
+        _post(f"{base_url}/profile", {"user_id": 8})
+        _get_raw(f"{base_url}/metrics")
+        _, after = _get_json(f"{base_url}/healthz")
+        # The first scrape and the three requests after it; a scrape's
+        # own trace lands after its payload is built.
+        captured = before["metrics"]["traces"]["captured"]
+        assert after["metrics"]["traces"]["captured"] == captured + 4
+        lines = access_log_stream.getvalue().splitlines()[-5:]
+        assert [json.loads(line)["route"] for line in lines] == [
+            "/healthz", "/predict-home", "/profile", "/metrics", "/healthz",
+        ]
+        assert all(json.loads(line)["trace_id"] for line in lines)
+        recent = frontend.trace_buffer.recent()[-5:]
+        assert [t["trace_id"] for t in recent] == [
+            json.loads(line)["trace_id"] for line in lines
+        ]
+
+    def test_slow_request_lands_in_slow_log_with_inline_spans(
+        self, base_url, served, monkeypatch
+    ):
+        _, frontend, _ = served
+        monkeypatch.setattr(frontend.trace_buffer, "slow_threshold", 0.0)
+        status, _ = _post(
+            f"{base_url}/explain-edge",
+            {"user": {"friends": [1, 2, 3]}, "neighbor": 2},
+        )
+        assert status == 200
+        trace = frontend.trace_buffer.slow()[-1]
+        assert trace["meta"] == {"route": "/explain-edge", "status": 200}
+        # The solve ran in an executor thread, yet its span is here.
+        assert "foldin.solve" in [span["name"] for span in trace["spans"]]
+
+    def test_predict_trace_records_the_dispatch_wait(self, base_url, served):
+        _, frontend, _ = served
+        status, _ = _post(
+            f"{base_url}/predict-home", {"users": [{"friends": [4, 5, 6]}]}
+        )
+        assert status == 200
+        trace = frontend.trace_buffer.recent()[-1]
+        assert trace["meta"]["route"] == "/predict-home"
+        assert [s["name"] for s in trace["spans"]] == ["frontend.dispatch"]
+
+    def test_ingest_trace_holds_journal_and_apply_spans(self, fitted, tmp_path):
+        from repro.data.journal import open_journal
+
+        predictor = FoldInPredictor(fitted, artifact_id="obs-ingest")
+        _, journal, _ = open_journal(tmp_path, predictor.world)
+        frontend = make_frontend(predictor, port=0, journal=journal)
+        server = FrontendThread(frontend).start()
+        try:
+            status, _ = _post(
+                f"http://127.0.0.1:{server.port}/ingest", {"new_users": [{}]}
+            )
+        finally:
+            server.stop()
+            journal.close()
+        assert status == 200
+        (trace,) = frontend.trace_buffer.recent()
+        names = [span["name"] for span in trace["spans"]]
+        assert {"journal.append", "ingest.apply"} <= set(names)
+
+
 class TestConcurrentInstrumentation:
-    """Hammer the live threaded server and check counters stay exact."""
+    """Hammer the live server and check counters stay exact."""
 
     N_THREADS = 10
     N_REQUESTS_EACH = 5

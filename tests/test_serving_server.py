@@ -1,6 +1,12 @@
-"""Inference server tests: live HTTP round-trips against a real socket."""
+"""Inference server tests: live HTTP round-trips against a real socket.
+
+Everything here runs the front end at 0 workers (one process, every
+predict window solved inline); tests/test_serving_frontend.py covers
+what the worker topology adds.
+"""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -10,8 +16,10 @@ import pytest
 from repro.core.model import MLPModel
 from repro.core.params import MLPParams
 from repro.data.generator import SyntheticWorldConfig, generate_world
+from repro.serving import frontend as frontend_module
 from repro.serving.foldin import FoldInPredictor
-from repro.serving.server import make_server
+from repro.serving.frontend import FrontendThread, make_frontend
+from repro.serving.server import HTTP_REQUESTS
 
 
 @pytest.fixture(scope="module")
@@ -26,16 +34,16 @@ def predictor(world):
     return FoldInPredictor(result, artifact_id="server-test")
 
 
+def _serve(predictor) -> FrontendThread:
+    """A started 0-worker front end over ``predictor``."""
+    return FrontendThread(make_frontend(predictor, port=0)).start()
+
+
 @pytest.fixture(scope="module")
 def base_url(predictor):
-    server = make_server(predictor, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    server = _serve(predictor)
+    yield f"http://127.0.0.1:{server.port}"
+    server.stop()
 
 
 def _get(url: str):
@@ -405,7 +413,7 @@ class TestKeepAlive:
 
 class TestConcurrency:
     def test_parallel_requests(self, base_url):
-        """Threaded server: concurrent fold-ins all succeed."""
+        """Concurrent fold-ins all succeed."""
         results = []
         errors = []
 
@@ -441,14 +449,9 @@ class TestIngest:
     @pytest.fixture(scope="class")
     def live(self, predictor):
         fresh = FoldInPredictor(predictor.result, artifact_id="ingest-test")
-        server = make_server(fresh, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield fresh, f"http://{host}:{port}"
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        server = _serve(fresh)
+        yield fresh, f"http://127.0.0.1:{server.port}"
+        server.stop()
 
     def test_ingest_applies_and_reports_identity(self, live):
         fresh, url = live
@@ -526,18 +529,15 @@ class TestIngest:
 
 
 class TestGracefulDrain:
-    """SIGTERM-path regression: drain() finishes in-flight requests."""
+    """SIGTERM-path regression: a drain finishes in-flight requests."""
 
     def test_drain_waits_for_slow_inflight_request(
         self, predictor, monkeypatch
     ):
         import time
 
-        server = make_server(predictor, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
+        server = _serve(predictor)
+        url = f"http://127.0.0.1:{server.port}"
         original = predictor.explain_edge
 
         def slow_explain(*args, **kwargs):
@@ -556,9 +556,9 @@ class TestGracefulDrain:
         request_thread = threading.Thread(target=fire)
         request_thread.start()
         time.sleep(0.15)  # in flight, sleeping inside the handler
-        drained = server.drain(deadline_seconds=10.0)
+        drained = server.stop(deadline_seconds=10.0)
         request_thread.join(timeout=15)
-        thread.join(timeout=5)
+        assert not request_thread.is_alive()
         assert drained is True
         status, payload = outcome["response"]
         assert status == 200
@@ -570,8 +570,208 @@ class TestGracefulDrain:
             urllib.request.urlopen(f"{url}/healthz", timeout=2)
 
     def test_drain_reports_idle_immediately_when_quiet(self, predictor):
-        server = make_server(predictor, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        assert server.drain(deadline_seconds=2.0) is True
-        thread.join(timeout=5)
+        server = _serve(predictor)
+        assert server.stop(deadline_seconds=2.0) is True
+
+    def test_drain_closes_idle_keep_alive_connection(self, predictor):
+        """A pooled client idle between requests must not hold a drain."""
+        import time
+
+        server = _serve(predictor)
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            head, body = _read_response(sock)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"Connection: close" not in head
+            t0 = time.monotonic()
+            assert server.stop(deadline_seconds=1.0) is True
+            assert time.monotonic() - t0 < 2.0
+            assert sock.recv(1) == b""  # the server closed it
+
+    def test_large_response_is_delivered_across_drain(
+        self, predictor, monkeypatch
+    ):
+        """A drain waits until an in-flight response has been written."""
+        import time
+
+        blob = "x" * (8 << 20)  # far beyond any socket buffer
+        monkeypatch.setattr(
+            frontend_module, "artifact_payload", lambda _: {"blob": blob}
+        )
+        server = _serve(predictor)
+        outcome = {}
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /artifact HTTP/1.1\r\nHost: t\r\n\r\n")
+            time.sleep(0.3)  # unread: the server blocks writing it
+            stopper = threading.Thread(
+                target=lambda: outcome.update(
+                    drained=server.stop(deadline_seconds=10.0)
+                )
+            )
+            stopper.start()
+            time.sleep(0.3)  # the drain is waiting on the write
+            head, body = _read_response(sock)
+            stopper.join(timeout=15)
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body) == {"blob": blob}
+        assert outcome["drained"] is True
+
+
+def _read_response(sock) -> tuple[bytes, bytes]:
+    """Read one Content-Length framed response off ``sock``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed inside the response head"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    )
+    while len(body) < length:
+        chunk = sock.recv(1 << 20)
+        assert chunk, "connection closed inside the response body"
+        body += chunk
+    return head, body
+
+
+def _raw_exchange(base_url: str, request: bytes) -> bytes:
+    """Send raw bytes, then read until the server closes the socket."""
+    host, port = base_url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return data
+            data += chunk
+
+
+class TestBoundedHead:
+    """An oversized or malformed request head gets an answer and a close.
+
+    Each case counts in ``repro_http_requests_total`` like any request.
+    """
+
+    def _counted(self, status: int):
+        return HTTP_REQUESTS.labels(
+            route="<unknown>", method="<unknown>", status=str(status)
+        )
+
+    def test_long_request_line_is_414(self, base_url):
+        counter = self._counted(414)
+        before = counter.value
+        target = "/" + "a" * (frontend_module.MAX_LINE_BYTES + 10)
+        data = _raw_exchange(
+            base_url, f"GET {target} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+        )
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 414 ")
+        assert b"Connection: close" in head
+        assert "request line exceeds" in json.loads(body)["error"]
+        assert counter.value == before + 1
+
+    def test_long_header_line_is_431(self, base_url):
+        value = "x" * (frontend_module.MAX_LINE_BYTES + 10)
+        data = _raw_exchange(
+            base_url,
+            f"GET /healthz HTTP/1.1\r\nX-Big: {value}\r\n\r\n".encode(),
+        )
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 431 ")
+        assert b"Connection: close" in head
+        assert "header line exceeds" in json.loads(body)["error"]
+
+    def test_too_many_headers_is_431(self, base_url):
+        many = "".join(
+            f"X-H{i}: {i}\r\n" for i in range(frontend_module.MAX_HEADERS + 1)
+        )
+        data = _raw_exchange(
+            base_url, f"GET /healthz HTTP/1.1\r\n{many}\r\n".encode()
+        )
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 431 ")
+        assert b"Connection: close" in head
+        assert "header lines" in json.loads(body)["error"]
+
+    def test_header_count_at_the_limit_is_served(self, base_url):
+        many = "".join(
+            f"X-H{i}: {i}\r\n" for i in range(frontend_module.MAX_HEADERS - 1)
+        )
+        data = _raw_exchange(
+            base_url,
+            f"GET /healthz HTTP/1.1\r\n{many}Connection: close\r\n\r\n"
+            .encode(),
+        )
+        assert data.startswith(b"HTTP/1.1 200 ")
+
+    @pytest.mark.parametrize(
+        "line", [b"GARBAGE\r\n", b"GET /healthz\r\n", b"GET / FTP/1.0\r\n"]
+    )
+    def test_malformed_request_line_is_400(self, base_url, line):
+        counter = self._counted(400)
+        before = counter.value
+        data = _raw_exchange(base_url, line + b"\r\n")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "malformed request line"}
+        assert counter.value == before + 1
+
+
+class TestStalledBody:
+    def test_body_that_never_arrives_is_408(self, base_url, monkeypatch):
+        monkeypatch.setattr(frontend_module, "BODY_READ_TIMEOUT", 0.3)
+        counter = HTTP_REQUESTS.labels(
+            route="/predict-home", method="POST", status="408"
+        )
+        before = counter.value
+        # Declares 100 bytes, sends 2, then waits without closing.
+        data = _raw_exchange(
+            base_url,
+            b"POST /predict-home HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 100\r\n\r\n{}",
+        )
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in head
+        assert "not received within 0.3 seconds" in json.loads(body)["error"]
+        assert counter.value == before + 1
+
+
+class TestStalledHead:
+    def test_head_that_never_completes_is_408(self, base_url, monkeypatch):
+        monkeypatch.setattr(frontend_module, "HEAD_READ_TIMEOUT", 0.3)
+        counter = HTTP_REQUESTS.labels(
+            route="<unknown>", method="<unknown>", status="408"
+        )
+        before = counter.value
+        # A started head with no blank line to end it.
+        data = _raw_exchange(base_url, b"GET /healthz HTTP/1.1\r\nHost: t")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in head
+        assert "head not received within 0.3" in json.loads(body)["error"]
+        assert counter.value == before + 1
+
+    def test_idle_keep_alive_outlives_the_head_deadline(
+        self, base_url, monkeypatch
+    ):
+        import time
+
+        monkeypatch.setattr(frontend_module, "HEAD_READ_TIMEOUT", 0.3)
+        host, port = base_url.removeprefix("http://").split(":")
+        request = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(request)
+            assert _read_response(sock)[0].startswith(b"HTTP/1.1 200 ")
+            time.sleep(0.8)  # idle between requests: no deadline runs
+            sock.sendall(request)
+            assert _read_response(sock)[0].startswith(b"HTTP/1.1 200 ")

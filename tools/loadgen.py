@@ -19,11 +19,11 @@ Usage::
     python tools/loadgen.py --url http://127.0.0.1:8000 \\
         --rate 200 --duration 10 --ingest-fraction 0.05
 
-    # Self-contained smoke (builds a tiny artifact, serves in-process):
+    # Self-contained smoke (builds a tiny artifact, serves it in-process
+    # through the front end at 0 workers):
     PYTHONPATH=src python tools/loadgen.py --smoke
 
-    # Same, but through the multi-process topology (store + forked
-    # workers + coalescing front end):
+    # Same, but with a world store and 2 forked predictor workers:
     PYTHONPATH=src python tools/loadgen.py --smoke --workers 2
 
     # Head-to-head worker scaling; merges a ``loadgen_worker_scaling``
@@ -150,22 +150,21 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "--workers",
         type=int,
         default=0,
-        help="for --smoke: serve through the multi-process topology "
-        "with N forked workers (0 = threaded server; default: "
-        "%(default)s)",
+        help="for --smoke: serve through N forked predictor workers "
+        "(0 = solve in the server process; default: %(default)s)",
     )
     parser.add_argument(
         "--coalesce-ms",
         type=float,
         default=2.0,
-        help="micro-batch coalescing window for --workers > 0 "
-        "(default: %(default)s)",
+        help="for --smoke: micro-batch coalescing window, at any "
+        "--workers count (default: %(default)s)",
     )
     parser.add_argument(
         "--compare-workers",
         default=None,
         metavar="N,M[,...]",
-        help="run the smoke load once per worker count (0 = threaded), "
+        help="run the smoke load once per worker count, "
         "report each, and merge a loadgen_worker_scaling entry with "
         "rps_ratio (last vs first count) into bench_run.json "
         "(implies --smoke; e.g. --compare-workers 1,4)",
@@ -401,32 +400,22 @@ def _fit_smoke_result(args: argparse.Namespace):
     return MLPModel(params).fit(world)
 
 
-def _serve_threaded(predictor):
-    """Stand up the threaded server; returns (base_url, stop_callable)."""
-    from repro.serving.server import make_server
+def _serve(predictor, workers: int, coalesce_ms: float):
+    """Stand up the front end in-process; returns (base_url, stop).
 
-    server = make_server(predictor, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-
-    def stop() -> None:
-        server.shutdown()
-        server.server_close()
-
-    return f"http://{host}:{port}", stop
-
-
-def _serve_multiprocess(predictor, workers: int, coalesce_ms: float):
-    """Stand up store + worker pool + coalescing front end in-process."""
+    With ``workers > 0`` a temporary world store and that many forked
+    predictor workers back it.
+    """
     import shutil
     import tempfile
 
     from repro.serving.frontend import FrontendThread, make_frontend
     from repro.serving.store import WorldStore
 
-    store_dir = tempfile.mkdtemp(prefix="loadgen-store-")
-    store = WorldStore(store_dir, predictor.world.gazetteer)
+    store_dir = store = None
+    if workers > 0:
+        store_dir = tempfile.mkdtemp(prefix="loadgen-store-")
+        store = WorldStore(store_dir, predictor.world.gazetteer)
     frontend = make_frontend(
         predictor,
         store,
@@ -440,8 +429,9 @@ def _serve_multiprocess(predictor, workers: int, coalesce_ms: float):
         try:
             thread.stop()
         finally:
-            store.close()
-            shutil.rmtree(store_dir, ignore_errors=True)
+            if store is not None:
+                store.close()
+                shutil.rmtree(store_dir, ignore_errors=True)
 
     return f"http://127.0.0.1:{thread.port}", stop
 
@@ -455,12 +445,7 @@ def run_smoke(args: argparse.Namespace, result=None) -> dict:
     # A fresh predictor per run: ingests advance the served world, and
     # compared configs must all start from the same generation 0.
     predictor = FoldInPredictor(result, artifact_id="loadgen-smoke")
-    if args.workers > 0:
-        base_url, stop = _serve_multiprocess(
-            predictor, args.workers, args.coalesce_ms
-        )
-    else:
-        base_url, stop = _serve_threaded(predictor)
+    base_url, stop = _serve(predictor, args.workers, args.coalesce_ms)
     try:
         return run_load(
             base_url=base_url,
@@ -481,15 +466,15 @@ def _annotate(summary: dict, args: argparse.Namespace) -> dict:
     summary["ingest_fraction"] = args.ingest_fraction
     summary["seed"] = args.seed
     summary["workers"] = args.workers
-    summary["coalesce_ms"] = args.coalesce_ms if args.workers > 0 else None
+    summary["coalesce_ms"] = args.coalesce_ms
     return summary
 
 
 def run_compare(args: argparse.Namespace, counts: list[int]) -> int:
     """Drive the identical smoke load once per worker count.
 
-    Fits one artifact, serves it per config (0 = threaded, N = that
-    many forked workers), and merges a ``loadgen_worker_scaling``
+    Fits one artifact, serves it per config (0 = solved in-process,
+    N = that many forked workers), and merges a ``loadgen_worker_scaling``
     timing entry -- carrying ``rps_ratio`` of the last count over the
     first -- into ``bench_run.json`` so ``make bench-gate`` can hold a
     multi-worker throughput floor (env-gated on ``LOADGEN_SCALE``).
@@ -506,9 +491,8 @@ def run_compare(args: argparse.Namespace, counts: list[int]) -> int:
         summary = _annotate(run_smoke(per_run, result=result), per_run)
         summaries[workers] = summary
         worst_error_rate = max(worst_error_rate, summary["error_rate"])
-        mode = "threaded" if workers == 0 else f"{workers} workers"
         print(
-            f"[loadgen] {mode}: {summary['rps']} rps, "
+            f"[loadgen] {workers} workers: {summary['rps']} rps, "
             f"p50 {summary.get('p50_ms', '?')} ms, "
             f"p99 {summary.get('p99_ms', '?')} ms, "
             f"errors {summary['errors']}",
