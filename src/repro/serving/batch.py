@@ -345,12 +345,15 @@ class BatchFoldInEngine:
         # Following rows: slice the shared per-neighbour kernel cache
         # (literally the same arrays the sequential solver slices) into
         # each relationship's cell slots -- one stacked table for the
-        # chunk's unique neighbours, then a flat two-index gather.
+        # chunk's unique trained neighbours, then a flat two-index
+        # gather.  A neighbour ingested after the fit has an all-zero
+        # row, so its cells keep the zeros ``weights`` starts with.
         weights = np.zeros(total_cells, dtype=np.float64)
-        following_cells = ~rel_is_venue[cell_rel]
+        trained_rels = ~rel_is_venue & (rel_ref < predictor._n_train)
+        following_cells = trained_rels[cell_rel]
         if following_cells.any():
             unique_nb, nb_local = np.unique(
-                rel_ref[~rel_is_venue], return_inverse=True
+                rel_ref[trained_rels], return_inverse=True
             )
             kernel_table = np.empty(
                 (unique_nb.size, predictor.n_locations), dtype=np.float64
@@ -358,7 +361,7 @@ class BatchFoldInEngine:
             for local, nb in enumerate(unique_nb.tolist()):
                 kernel_table[local] = predictor._kernel_row(nb)
             rel_nb_local = np.full(rel_ref.size, -1, dtype=np.int64)
-            rel_nb_local[~rel_is_venue] = nb_local
+            rel_nb_local[trained_rels] = nb_local
             weights[following_cells] = kernel_table[
                 rel_nb_local[cell_rel[following_cells]],
                 cand_ids[cell_cand[following_cells]],

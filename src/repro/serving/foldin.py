@@ -93,6 +93,10 @@ ITERATIONS_TOTAL = _REG.counter(
 _SEQ_SECONDS = SOLVE_SECONDS.labels(path="sequential")
 _SEQ_SOLVES = SOLVES_TOTAL.labels(path="sequential")
 _SEQ_ITERATIONS = ITERATIONS_TOTAL.labels(path="sequential")
+KERNEL_ROWS = _REG.gauge(
+    "repro_foldin_kernel_rows",
+    "Kernel rows stored by fold-in predictors in this process",
+)
 INGEST_DELTAS = _REG.counter(
     "repro_ingest_deltas_total",
     "World deltas applied to the served world",
@@ -335,10 +339,11 @@ class FoldInPredictor:
         #: law(l, e)`` over all locations, computed once per neighbour
         #: on first use and shared verbatim by the sequential solver
         #: and the batch engine (one array, so the two paths cannot
-        #: disagree).  Bounded: beyond ``_kernel_cache_limit`` entries
-        #: (~256 MB of rows) new rows are computed transiently instead
-        #: of stored, so a long-running server on a huge artifact
-        #: cannot grow toward an (n_users, n_locations) table.
+        #: disagree).  Only neighbours with a non-empty frozen profile
+        #: get an entry -- everyone else (users ingested after the fit
+        #: in particular) reads the shared ``_zero_row`` -- so the
+        #: cache holds at most min(trained neighbours seen,
+        #: ``_kernel_cache_limit``) rows.
         self._kernel_rows: dict[int, np.ndarray] = {}
 
         #: The shared compiled substrate.  When the result came out of a
@@ -363,10 +368,18 @@ class FoldInPredictor:
         self.n_locations = train_world.n_locations
         self.n_venues = train_world.n_venues
         #: Cache at most ~256 MB of kernel rows, whatever the
-        #: gazetteer size (each row is ``n_locations`` float64).
+        #: gazetteer size (each row is ``n_locations`` float64); past
+        #: it new rows are computed transiently instead of stored, so
+        #: a long-running server on a huge artifact cannot grow toward
+        #: an (n_train, n_locations) table.
         self._kernel_cache_limit = max(
             1, (32 << 20) // max(1, self.n_locations)
         )
+        #: ``K_j`` of a neighbour with no frozen profile: the empty
+        #: product ``law[:, []] @ []`` is +0.0 at every location, so
+        #: one read-only row serves them all bit for bit.
+        self._zero_row = np.zeros(self.n_locations, dtype=np.float64)
+        self._zero_row.flags.writeable = False
         #: Eq. 1 over every location pair under the *fitted* law
         #: (beta included -- the selector balance needs it).
         self._law_matrix = result.fitted_law(gaz.distance_matrix)
@@ -549,15 +562,23 @@ class FoldInPredictor:
         (A cache overflow recomputes the identical deterministic
         expression, so results cannot change; only time is lost.)
         First writer wins under the lock, so concurrent handler
-        threads converge on a single shared array per neighbour.
+        threads converge on a single shared array per neighbour.  A
+        neighbour with an empty profile gets the shared read-only
+        ``_zero_row`` and is never stored.
         """
         row = self._kernel_rows.get(neighbor)
         if row is None:
             locs, probs = self._profile_of(neighbor)
+            if locs.size == 0:
+                return self._zero_row
             row = self._law_matrix[:, locs] @ probs
             with self._lock:
-                if len(self._kernel_rows) < self._kernel_cache_limit:
-                    row = self._kernel_rows.setdefault(neighbor, row)
+                cached = self._kernel_rows.get(neighbor)
+                if cached is not None:
+                    row = cached
+                elif len(self._kernel_rows) < self._kernel_cache_limit:
+                    self._kernel_rows[neighbor] = row
+                    KERNEL_ROWS.inc()
         return row
 
     def _relationship_rows(

@@ -635,18 +635,25 @@ class TestKillNineMidIngest:
             text=True,
             env=env,
         )
-        port = None
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                raise AssertionError(
-                    f"server exited early (rc {proc.poll()})"
-                )
-            if "on http://" in line:
-                port = int(line.rsplit(":", 1)[1])
-                break
-        assert port is not None, "server never reported its port"
+        try:
+            port = None
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if not line:
+                    raise AssertionError(
+                        f"server exited early (rc {proc.poll()})"
+                    )
+                if "on http://" in line:
+                    port = int(line.rsplit(":", 1)[1])
+                    break
+            assert port is not None, "server never reported its port"
+        except BaseException:
+            # The banner wait failed: never leave the server running.
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+            raise
         return proc, port
 
     def test_kill9_recovers_every_acknowledged_delta(

@@ -16,8 +16,8 @@ from repro.core.params import MLPParams
 from repro.data.columnar import ColumnarWorld
 from repro.data.delta import WorldDelta
 from repro.data.generator import SyntheticWorldConfig, generate_world
-from repro.serving.batch import score_population
-from repro.serving.foldin import FoldInPredictor, UserSpec
+from repro.serving.batch import BatchFoldInEngine, score_population
+from repro.serving.foldin import KERNEL_ROWS, FoldInPredictor, UserSpec
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,71 @@ class TestNewArrivals:
 
         with pytest.raises(ValueError, match="only grow"):
             FoldInPredictor(result, world=compile_world(small))
+
+
+def grow_with_arrivals(predictor, n_new=4):
+    """Ingest ``n_new`` users wired to training users and to each other;
+    returns the new users' ids (none has a frozen profile)."""
+    n = predictor.world.n_users
+    new = list(range(n, n + n_new))
+    edges = [(u, u % 7) for u in new] + [(3, u) for u in new]
+    edges += [(a, b) for a, b in zip(new, new[1:])]
+    predictor.refresh(WorldDelta(new_users=[None] * n_new, edges=edges))
+    return new
+
+
+class TestPostFitNeighbours:
+    """Neighbours ingested after the fit share one zero kernel row and
+    never enter the kernel-row cache, in either fold-in path."""
+
+    def test_post_fit_neighbours_are_never_cached(self, result):
+        predictor = FoldInPredictor(result, artifact_id="uncached")
+        rows_before = KERNEL_ROWS.value
+        new = grow_with_arrivals(predictor)
+        specs = [predictor.spec_for_training_user(u) for u in new]
+        specs.append(UserSpec(friends=(new[0], 5), followers=(new[1],)))
+        for spec in specs:
+            predictor.predict(spec)
+        BatchFoldInEngine(predictor).solve(specs)
+        assert predictor._kernel_rows
+        assert max(predictor._kernel_rows) < predictor._n_train
+        assert KERNEL_ROWS.value - rows_before == len(predictor._kernel_rows)
+
+    def test_post_fit_neighbours_share_one_read_only_row(self, result):
+        predictor = FoldInPredictor(result, artifact_id="shared-zero")
+        a, b = grow_with_arrivals(predictor, n_new=2)
+        row = predictor._kernel_row(a)
+        assert predictor._kernel_row(b) is row
+        assert not row.any()
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+    def test_batch_matches_sequential_mixed_neighbours(self, result):
+        predictor = FoldInPredictor(result, artifact_id="mixed")
+        new = grow_with_arrivals(predictor)
+        specs = [predictor.spec_for_training_user(u) for u in new]
+        specs += [
+            predictor.spec_for_training_user(u)
+            for u in range(0, predictor._n_train, 9)
+        ]
+        specs.append(UserSpec(friends=(new[0], 2, new[3]), followers=(8,)))
+        batched = BatchFoldInEngine(predictor).solve(specs)
+        for spec, solution in zip(specs, batched):
+            assert_solutions_identical(predictor._solve(spec), solution)
+
+    def test_batch_matches_sequential_all_post_fit_neighbours(self, result):
+        """No following cell survives the trained-neighbour mask."""
+        predictor = FoldInPredictor(result, artifact_id="all-post-fit")
+        new = grow_with_arrivals(predictor)
+        specs = [
+            UserSpec(friends=(new[0], new[1])),
+            UserSpec(followers=(new[2],), venues=(1, 4)),
+            UserSpec(friends=(new[3],), observed_location=2),
+        ]
+        batched = BatchFoldInEngine(predictor).solve(specs)
+        for spec, solution in zip(specs, batched):
+            assert_solutions_identical(predictor._solve(spec), solution)
+        assert not predictor._kernel_rows
 
 
 class TestSurgicalInvalidation:
