@@ -3,19 +3,27 @@ building blocks (no paper artifact attached).
 
 These give pytest-benchmark real statistics and catch performance
 regressions in the hot paths: world generation, prior construction,
-one Gibbs sweep (both engines), distance-matrix construction, venue
-extraction.  The loop-vs-vectorized head-to-head runs on the *medium*
-dataset (below) and records its numbers to the JSON journal.
+one Gibbs sweep (both engines), a fit's set-up stages, distance-matrix
+construction, venue extraction.  The loop-vs-vectorized head-to-head
+runs on the *medium* dataset (below) and records its numbers to the
+JSON journal.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.core.calibration import fit_initial_power_law
 from repro.core.gibbs import GibbsSampler
 from repro.core.params import MLPParams
 from repro.core.priors import build_user_priors
-from repro.data.generator import SyntheticWorldConfig, generate_world
+from repro.data.generator import (
+    SyntheticWorldConfig,
+    generate_columnar_world,
+    generate_world,
+)
 from repro.engine import VectorizedGibbsSampler
 from repro.geo.coords import pairwise_distance_matrix
 from repro.geo.us_cities import builtin_gazetteer
@@ -151,6 +159,87 @@ def test_bench_engine_head_to_head(medium_world, artifact_dir, journal):
     assert speedup >= 2.0, (
         f"vectorized engine regressed: only {speedup:.2f}x over loop"
     )
+
+
+#: The fit set-up bench's world: the 3k sparse population shape
+#: (mean 3 friends, 4 venues) that the serve benchmark trains on.
+SETUP_WORLD = SyntheticWorldConfig(
+    n_users=3000, seed=1, mean_friends=3.0, mean_venues=4.0
+)
+
+
+def _best_seconds(fn, repeats: int = 3) -> float:
+    """Best wall time of ``fn()`` over ``repeats`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_bench_fit_setup(journal):
+    """Per-stage cost of a fit's set-up before the first sweep.
+
+    Calibration (the Sec. 4.1 power-law fit), the sampler's initial
+    draw and the vectorized engine's assignment-slot map, each timed
+    on the 3k sparse world; calibration and initialization also against
+    their pair-by-pair / edge-by-edge reference forms in
+    ``tests/reference_setup.py``, which they match bit for bit.  The
+    floor guards the calibration speedup (measured ~20x).
+    """
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from reference_setup import reference_initial_fit, reference_initialize
+
+    world = generate_columnar_world(SETUP_WORLD, shards=4)
+    params = MLPParams(n_iterations=4, burn_in=1, seed=1, engine="vectorized")
+    priors = build_user_priors(world, params)
+    priors.packed()  # shared across chains; not a per-fit stage
+
+    calibrate_s = _best_seconds(lambda: fit_initial_power_law(world, params))
+    reference_s = _best_seconds(lambda: reference_initial_fit(world, params))
+    assert fit_initial_power_law(world, params) == reference_initial_fit(
+        world, params
+    )
+
+    def sampler():
+        return VectorizedGibbsSampler(
+            world, params, priors=priors, alpha=-0.5, beta=0.01
+        )
+
+    initialize_s = _best_seconds(lambda: sampler().initialize())
+    init_reference_s = _best_seconds(lambda: reference_initialize(sampler()))
+    warm = sampler()
+    warm.initialize()
+    warm._ensure_layout()
+
+    def positions():
+        warm._positions_dirty = True
+        warm._rebuild_positions()
+
+    positions_s = _best_seconds(positions)
+    speedup = reference_s / calibrate_s
+    print(
+        f"\nfit set-up ({world.n_users} users): calibrate "
+        f"{calibrate_s * 1e3:.1f} ms ({speedup:.1f}x over pairwise "
+        f"{reference_s * 1e3:.1f} ms), initialize {initialize_s * 1e3:.1f} ms "
+        f"(per-edge {init_reference_s * 1e3:.1f} ms), positions "
+        f"{positions_s * 1e3:.1f} ms"
+    )
+    journal(
+        "timing",
+        name="fit_setup",
+        n_users=world.n_users,
+        n_following=world.n_following,
+        n_tweeting=world.n_tweeting,
+        calibrate_seconds=calibrate_s,
+        calibrate_reference_seconds=reference_s,
+        initialize_seconds=initialize_s,
+        initialize_reference_seconds=init_reference_s,
+        positions_seconds=positions_s,
+        speedup=round(speedup, 2),
+    )
+    assert speedup >= 5.0, f"calibration only {speedup:.1f}x over pairwise"
 
 
 def test_bench_venue_extraction(benchmark):

@@ -9,6 +9,14 @@ location assignments of location-based (mu=0) edges.
 Exact probabilities need all N^2 ordered pairs; like the paper's own
 scale argument we estimate the pair-count denominator from a uniform
 user subsample (unbiased, and the fit only needs the curve's shape).
+
+A pair's distance depends only on its two locations, so neither fit
+walks the sample's pairs: both count users per location, turn the
+counts into exact ordered-pair counts per location pair, and bucket the
+gazetteer's L x L distance matrix once with those counts as weights
+(:func:`~repro.mathx.buckets.log_spaced_bucket_following_pairs`).  The
+counts are integers, so the buckets -- and the fitted law -- are the
+ones the pair-by-pair computation gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 from repro.core.params import MLPParams
 from repro.data.columnar import ColumnarWorld, compile_world
 from repro.data.model import Dataset
-from repro.mathx.buckets import log_spaced_bucket_following_pairs
+from repro.mathx.buckets import DistanceBuckets, log_spaced_bucket_following_pairs
 from repro.mathx.powerlaw import PowerLaw, fit_power_law
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,6 +38,53 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: negative; a flat or increasing "decay" means the assignments are
 #: still disordered and the previous law should be kept.
 _MIN_DECAY = -0.05
+
+
+def _ordered_pair_counts(locations: np.ndarray, n_locations: int) -> np.ndarray:
+    """Ordered pairs of distinct users per location pair, flat ``L * L``.
+
+    ``locations[k]`` is user ``k``'s location.  With ``c[a]`` users at
+    location ``a``, the pairs at ``(a, b)`` number ``c[a] * c[b]``, less
+    ``c[a]`` self-pairs on the diagonal.  Integer-valued float64.
+    """
+    counts = np.bincount(locations, minlength=n_locations).astype(np.float64)
+    grid = np.multiply.outer(counts, counts)
+    grid[np.diag_indices(n_locations)] -= counts
+    return grid.reshape(-1)
+
+
+def sampled_pair_buckets(
+    world: ColumnarWorld,
+    users: np.ndarray,
+    n_buckets: int = 30,
+    min_miles: float = 1.0,
+) -> DistanceBuckets:
+    """Fig. 3(a) buckets over all ordered pairs of distinct ``users``.
+
+    Each user sits at their observed location (``users`` must be
+    labeled).  A pair counts as an edge when the first follows the
+    second; duplicate edges between one pair count once and
+    self-follows not at all, as on the pair-by-pair path.
+    """
+    n = users.size
+    n_loc = world.n_locations
+    locs = world.observed_location[users]
+    index_of = np.full(world.n_users, -1, dtype=np.int64)
+    index_of[users] = np.arange(n, dtype=np.int64)
+    src = index_of[world.edge_src]
+    dst = index_of[world.edge_dst]
+    keep = (src >= 0) & (dst >= 0) & (src != dst)
+    pairs = np.unique(src[keep] * n + dst[keep])
+    edge_grid = np.bincount(
+        locs[pairs // n] * n_loc + locs[pairs % n], minlength=n_loc * n_loc
+    )
+    return log_spaced_bucket_following_pairs(
+        world.gazetteer.distance_matrix.reshape(-1),
+        edge_grid,
+        n_buckets=n_buckets,
+        min_miles=min_miles,
+        weights=_ordered_pair_counts(locs, n_loc),
+    )
 
 
 def fit_initial_power_law(
@@ -42,9 +97,9 @@ def fit_initial_power_law(
     """Fit (alpha, beta) from labeled users' registered locations.
 
     This is the measurement behind Fig. 3(a): take (a sample of) the
-    labeled users, compute all ordered pair distances between their
-    registered locations, mark which pairs actually have a following
-    relationship, bucket by distance, fit.
+    labeled users, bucket all ordered pairs between them by the
+    distance of their registered locations, mark which pairs actually
+    have a following relationship, fit.
 
     Falls back to ``params``' built-in values when the labeled set is
     too small to produce a usable curve.
@@ -59,31 +114,8 @@ def fit_initial_power_law(
         return fallback
     if labeled.size > max_users:
         labeled = rng.choice(labeled, size=max_users, replace=False)
-    locs = world.observed_location[labeled]
-    dmat = world.gazetteer.distance_matrix
-
-    # Pair distances over the sample (ordered pairs, no self-pairs).
-    pair_d = dmat[locs][:, locs]
-    n = labeled.size
-    off_diag = ~np.eye(n, dtype=bool)
-    distances = pair_d[off_diag]
-
-    # Which sampled pairs are edges?  One vectorized membership pass
-    # over the flat edge arena instead of the old object-graph walk.
-    index_of = np.full(world.n_users, -1, dtype=np.int64)
-    index_of[labeled] = np.arange(n, dtype=np.int64)
-    src_idx = index_of[world.edge_src]
-    dst_idx = index_of[world.edge_dst]
-    both = (src_idx >= 0) & (dst_idx >= 0)
-    has_edge = np.zeros((n, n), dtype=bool)
-    has_edge[src_idx[both], dst_idx[both]] = True
-    edges = has_edge[off_diag]
-
-    buckets = log_spaced_bucket_following_pairs(
-        distances,
-        edges,
-        n_buckets=n_buckets,
-        min_miles=params.min_distance_miles,
+    buckets = sampled_pair_buckets(
+        world, labeled, n_buckets=n_buckets, min_miles=params.min_distance_miles
     ).nonzero()
     if len(buckets) < 2:
         return fallback
@@ -125,44 +157,34 @@ def refit_power_law(
     if int(mask.sum()) < 20:
         return previous
     dmat = world.gazetteer.distance_matrix
-    edge_d = dmat[state.x[mask], state.y[mask]]
+    n_loc = world.n_locations
+    edge_grid = np.bincount(
+        state.x[mask] * n_loc + state.y[mask], minlength=n_loc * n_loc
+    )
 
     homes = sampler.current_home_estimates()
     n = world.n_users
     sample_n = min(max_users, n)
     chosen = rng.choice(n, size=sample_n, replace=False)
-    locs = homes[chosen]
-    pair_d = dmat[locs][:, locs]
-    off_diag = ~np.eye(sample_n, dtype=bool)
-    sample_distances = pair_d[off_diag]
     scale = (n * (n - 1)) / float(sample_n * (sample_n - 1))
 
-    bounds_min = params.min_distance_miles
-    bounds_max = max(float(dmat.max()), bounds_min * 10)
-    bounds = np.logspace(
-        np.log10(bounds_min), np.log10(bounds_max), n_buckets + 1
-    )
-    centers = np.sqrt(bounds[:-1] * bounds[1:])
-
-    def bucketize(values: np.ndarray) -> np.ndarray:
-        idx = np.clip(
-            np.searchsorted(bounds, np.clip(values, bounds_min, bounds_max), side="right") - 1,
-            0,
-            n_buckets - 1,
-        )
-        return np.bincount(idx, minlength=n_buckets).astype(np.float64)
-
-    edge_counts = bucketize(edge_d)
-    pair_counts = bucketize(sample_distances) * scale
-    usable = (edge_counts > 0) & (pair_counts > 0)
-    if int(usable.sum()) < 2:
+    min_miles = params.min_distance_miles
+    buckets = log_spaced_bucket_following_pairs(
+        dmat.reshape(-1),
+        edge_grid,
+        n_buckets=n_buckets,
+        min_miles=min_miles,
+        max_miles=max(float(dmat.max()), min_miles * 10),
+        weights=_ordered_pair_counts(homes[chosen], n_loc),
+    ).nonzero()
+    if len(buckets) < 2:
         return previous
-    probs = edge_counts[usable] / pair_counts[usable]
+    pair_counts = buckets.totals * scale
     try:
         law = fit_power_law(
-            centers[usable],
-            probs,
-            weights=pair_counts[usable],
+            buckets.centers,
+            buckets.edges / pair_counts,
+            weights=pair_counts,
             min_x=params.min_distance_miles,
         )
     except ValueError:
@@ -170,5 +192,3 @@ def refit_power_law(
     if law.alpha > _MIN_DECAY:
         return previous
     return law
-
-

@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.convergence import ConvergenceTrace, IterationStats
 from repro.core.following import LocationFollowingModel, RandomFollowingModel
 from repro.core.params import MLPParams
-from repro.core.priors import UserPriors, build_user_priors
+from repro.core.priors import PackedPriors, UserPriors, build_user_priors
 from repro.core.state import GibbsState
 from repro.core.tweeting import CollapsedTweetingModel, RandomTweetingModel
 from repro.data.columnar import ColumnarWorld, compile_world
@@ -66,6 +66,59 @@ def _draw_index(rng: np.random.Generator, weights: np.ndarray) -> int:
     u = rng.random() * total
     idx = int(np.searchsorted(cumulative, u, side="right"))
     return min(idx, len(weights) - 1)
+
+
+def _walk_selectors(
+    uniforms: np.ndarray, start: int, count: int, rho: float, extra: int
+) -> tuple[np.ndarray, int]:
+    """Block positions of ``count`` consecutive selector draws.
+
+    Relationship ``r``'s selector is the uniform at ``positions[r]``.
+    Below ``rho`` it picks the noise branch and is the relationship's
+    only draw; otherwise ``extra`` assignment draws follow it.  Returns
+    the positions and the position after the last relationship's draws.
+    """
+    below = (uniforms[start:] < rho).tobytes()
+    noise = bytearray(count)
+    pos = 0
+    step = 1 + extra
+    for r in range(count):
+        if below[pos]:
+            noise[r] = 1
+            pos += 1
+        else:
+            pos += step
+    steps = np.where(np.frombuffer(noise, dtype=np.bool_), 1, step)
+    return start + np.cumsum(steps) - steps, start + pos
+
+
+def _draw_candidates(
+    pack: PackedPriors, users: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Prior draws of one candidate location per entry of ``users``.
+
+    Entry ``k`` is :func:`_draw_index` over ``gamma[users[k]]`` with
+    ``uniforms[k]`` as its uniform: the same cumulative sums, the same
+    product and the same right-sided search, done as a bisection of
+    every user's slot range at once.
+    """
+    cum = pack.gamma_cumsum
+    lo = pack.offsets[users]
+    hi = pack.offsets[users + 1]
+    last = hi - 1
+    total = cum[last]
+    if not np.all(np.isfinite(total) & (total > 0.0)):
+        raise RuntimeError("degenerate sampling weights in Gibbs sweep")
+    target = uniforms * total
+    top = max(cum.size - 1, 0)
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) >> 1
+        right = cum[np.minimum(mid, top)] <= target
+        lo = np.where(active & right, mid + 1, lo)
+        hi = np.where(active & ~right, mid, hi)
+        active = lo < hi
+    return pack.flat_candidates[np.minimum(lo, last)]
 
 
 class GibbsSampler:
@@ -168,41 +221,56 @@ class GibbsSampler:
     # -- setup -----------------------------------------------------------
 
     def initialize(self) -> None:
-        """Draw initial selectors/assignments from priors; fill counts."""
+        """Draw initial selectors/assignments from priors; fill counts.
+
+        The generator is consumed exactly as a walk over the
+        relationships in arena order would consume it: each following
+        relationship takes one uniform for its selector and, on the
+        location branch, one per endpoint (follower first); each
+        tweeting relationship takes one, plus one on the location
+        branch.  The uniforms come in one block (the generator is then
+        rewound and advanced by exactly the count used), the
+        categorical draws are inverse-CDF searches against the packed
+        per-user cumulative priors, and the counts fill in one scatter.
+        """
         rng = self.rng
         state = self.state
-        priors = self.priors
-        counts = state.user_counts
         params = self.params
+        pack = self.priors.packed()
+        n_f = len(self._followers)
+        n_t = len(self._tw_users)
 
-        for s in range(len(self._followers)):
-            i = int(self._followers[s])
-            j = int(self._friends[s])
-            if rng.random() < params.rho_f:
-                state.mu[s] = 1
-                state.x[s] = NO_ASSIGNMENT
-                state.y[s] = NO_ASSIGNMENT
-            else:
-                state.mu[s] = 0
-                xi = int(priors.candidates[i][_draw_index(rng, priors.gamma[i])])
-                yj = int(priors.candidates[j][_draw_index(rng, priors.gamma[j])])
-                state.x[s] = xi
-                state.y[s] = yj
-                counts.increment(i, xi)
-                counts.increment(j, yj)
+        snapshot = rng.bit_generator.state
+        block = rng.random(3 * n_f + 2 * n_t)
+        f_pos, t_start = _walk_selectors(block, 0, n_f, params.rho_f, 2)
+        t_pos, used = _walk_selectors(block, t_start, n_t, params.rho_t, 1)
+        rng.bit_generator.state = snapshot
+        rng.random(used)
 
-        for k in range(len(self._tw_users)):
-            i = int(self._tw_users[k])
-            v = int(self._tw_venues[k])
-            if rng.random() < params.rho_t:
-                state.nu[k] = 1
-                state.z[k] = NO_ASSIGNMENT
-            else:
-                state.nu[k] = 0
-                zk = int(priors.candidates[i][_draw_index(rng, priors.gamma[i])])
-                state.z[k] = zk
-                counts.increment(i, zk)
-                self.tweeting_model.increment(zk, v)
+        f_noise = block[f_pos] < params.rho_f
+        f_loc = np.flatnonzero(~f_noise)
+        t_noise = block[t_pos] < params.rho_t
+        t_loc = np.flatnonzero(~t_noise)
+        i_users = self._followers[f_loc]
+        j_users = self._friends[f_loc]
+        t_users = self._tw_users[t_loc]
+        xs = _draw_candidates(pack, i_users, block[f_pos[f_loc] + 1])
+        ys = _draw_candidates(pack, j_users, block[f_pos[f_loc] + 2])
+        zs = _draw_candidates(pack, t_users, block[t_pos[t_loc] + 1])
+
+        state.mu[:] = f_noise
+        state.x[:] = NO_ASSIGNMENT
+        state.y[:] = NO_ASSIGNMENT
+        state.x[f_loc] = xs
+        state.y[f_loc] = ys
+        state.nu[:] = t_noise
+        state.z[:] = NO_ASSIGNMENT
+        state.z[t_loc] = zs
+        state.user_counts.increment_many(
+            np.concatenate([i_users, j_users, t_users]),
+            np.concatenate([xs, ys, zs]),
+        )
+        self.tweeting_model.increment_many(zs, self._tw_venues[t_loc])
         self._initialized = True
 
     # -- one sweep --------------------------------------------------------
@@ -398,10 +466,4 @@ class GibbsSampler:
 
         Cheap enough to run every sweep; used by convergence probes.
         """
-        phi = self.state.user_counts.phi
-        homes = np.empty(self.world.n_users, dtype=np.int64)
-        for uid in range(self.world.n_users):
-            cand = self.priors.candidates[uid]
-            weights = phi[uid, cand] + self.priors.gamma[uid]
-            homes[uid] = cand[int(np.argmax(weights))]
-        return homes
+        return self.priors.home_estimates(self.state.user_counts.phi)

@@ -191,7 +191,7 @@ class MLPModel:
         explanations, tweet_explanations = self._explanations_from(
             world,
             posterior.merged_edge_tally(),
-            lambda: _homes_from_counts(mean_counts, priors),
+            lambda: priors.home_estimates(mean_counts),
         )
         first = posterior.chains[0]
         return MLPResult(
@@ -277,20 +277,6 @@ class MLPModel:
                     )
                 )
         return tuple(explanations), tuple(tweet_explanations)
-
-
-def _homes_from_counts(mean_counts: np.ndarray, priors: UserPriors) -> np.ndarray:
-    """Argmax-theta home per user from a (pooled) mean count matrix.
-
-    The pooled analogue of
-    :meth:`~repro.core.gibbs.GibbsSampler.current_home_estimates`.
-    """
-    homes = np.empty(priors.n_users, dtype=np.int64)
-    for uid in range(priors.n_users):
-        cand = priors.candidates[uid]
-        weights = mean_counts[uid, cand] + priors.gamma[uid]
-        homes[uid] = cand[int(np.argmax(weights))]
-    return homes
 
 
 def mlp_u_params(base: MLPParams | None = None) -> MLPParams:

@@ -46,6 +46,9 @@ class PackedPriors:
     location ids slot by slot, ``slot_user`` the owning user of each
     slot, ``flat_gamma`` the parallel gamma values and ``gamma_list``
     their Python-float mirror (the sweep hot loop reads scalars).
+    ``gamma_cumsum`` holds each user's ``np.cumsum(gamma[u])`` in the
+    user's slot range: the exact cumulative weights the sampler's
+    inverse-CDF prior draws search.
     """
 
     offsets: np.ndarray
@@ -53,11 +56,25 @@ class PackedPriors:
     slot_user: np.ndarray
     flat_gamma: np.ndarray
     gamma_list: list[float]
+    gamma_cumsum: np.ndarray
 
     @property
     def total_slots(self) -> int:
         """Total candidate slots across all users."""
         return int(self.offsets[-1])
+
+    def slot_of(
+        self, users: np.ndarray, locations: np.ndarray, n_locations: int
+    ) -> np.ndarray:
+        """Arena slot of each ``(users[k], locations[k])`` pair.
+
+        Every location must be one of its user's candidates.  Users
+        ascend through the arena and each user's candidates are
+        sorted, so the keys ``user * n_locations + location`` ascend
+        with the slot and one search finds every pair.
+        """
+        keys = self.slot_user * n_locations + self.flat_candidates
+        return np.searchsorted(keys, users * n_locations + locations)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -85,6 +102,27 @@ class UserPriors:
         """Number of candidate locations per user."""
         return np.array([c.size for c in self.candidates])
 
+    def home_estimates(self, counts: np.ndarray) -> np.ndarray:
+        """Argmax-theta home per user from an ``(N, L)`` count matrix.
+
+        Each user's home is the candidate maximizing
+        ``counts[u, c] + gamma[u]`` (Eq. 10's numerator), ties going to
+        the first candidate as with ``np.argmax``; one pass over the
+        packed arena serves every user.
+        """
+        pack = self.packed()
+        if self.n_users == 0:
+            return np.empty(0, dtype=np.int64)
+        weights = counts[pack.slot_user, pack.flat_candidates] + pack.flat_gamma
+        starts = pack.offsets[:-1]
+        best = np.maximum.reduceat(weights, starts)
+        slots = np.where(
+            weights == best[pack.slot_user],
+            np.arange(weights.size),
+            weights.size,
+        )
+        return pack.flat_candidates[np.minimum.reduceat(slots, starts)]
+
     def packed(self) -> PackedPriors:
         """The flat arena layout, built lazily once and then shared.
 
@@ -107,15 +145,36 @@ class UserPriors:
             flat_gamma = (
                 np.concatenate(self.gamma) if n else np.empty(0, dtype=np.float64)
             )
+            gamma_cumsum = _segment_cumsum(flat_gamma, offsets)
             packed = PackedPriors(
                 offsets=offsets,
                 flat_candidates=flat_candidates,
                 slot_user=np.repeat(np.arange(n, dtype=np.int64), counts),
                 flat_gamma=flat_gamma,
                 gamma_list=flat_gamma.tolist(),
+                gamma_cumsum=gamma_cumsum,
             )
             object.__setattr__(self, "_packed", packed)
         return self._packed
+
+
+def _segment_cumsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of each segment ``values[offsets[u]:offsets[u+1]]``.
+
+    A cumulative sum adds left to right, one element at a time; this
+    makes the same additions one in-segment position at a time across
+    all segments, so every entry carries the bits the per-segment
+    ``np.cumsum`` gives (a running sum over the whole array would not).
+    """
+    out = values.copy()
+    sizes = np.diff(offsets)
+    order = np.argsort(sizes, kind="stable")
+    sorted_sizes = sizes[order]
+    sorted_starts = offsets[:-1][order]
+    for k in range(1, int(sorted_sizes[-1]) if sizes.size else 0):
+        slots = sorted_starts[np.searchsorted(sorted_sizes, k, side="right"):] + k
+        out[slots] += out[slots - 1]
+    return out
 
 
 def venue_referent_map(dataset: Dataset) -> dict[int, tuple[int, ...]]:

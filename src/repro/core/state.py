@@ -38,6 +38,11 @@ class UserLocationCounts:
         self.phi[user, location] += 1.0
         self.totals[user] += 1.0
 
+    def increment_many(self, users: np.ndarray, locations: np.ndarray) -> None:
+        """Add one assignment per ``(users[k], locations[k])`` pair."""
+        np.add.at(self.phi, (users, locations), 1.0)
+        np.add.at(self.totals, users, 1.0)
+
     def decrement(self, user: int, location: int) -> None:
         """Remove one assignment; raises if a count goes negative."""
         self.phi[user, location] -= 1.0

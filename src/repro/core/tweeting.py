@@ -47,6 +47,11 @@ class CollapsedTweetingModel:
         self._phi[location, venue] += 1.0
         self._totals[location] += 1.0
 
+    def increment_many(self, locations: np.ndarray, venues: np.ndarray) -> None:
+        """Add one mention per ``(locations[k], venues[k])`` pair."""
+        np.add.at(self._phi, (locations, venues), 1.0)
+        np.add.at(self._totals, locations, 1.0)
+
     def decrement(self, location: int, venue: int) -> None:
         """Remove one mention; raises if a count goes negative."""
         self._phi[location, venue] -= 1.0

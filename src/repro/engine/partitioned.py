@@ -352,21 +352,19 @@ class PartitionedGibbsSampler(VectorizedGibbsSampler):
 
     def _rebuild_partition_positions(self) -> None:
         """Candidate-list index of every live assignment (post-init)."""
-        cands = self.priors.candidates
         state = self.state
-        searchsorted = np.searchsorted
-        followers = self._followers.tolist()
-        friends = self._friends.tolist()
-        for s, (mu, x, y) in enumerate(
-            zip(state.mu.tolist(), state.x.tolist(), state.y.tolist())
-        ):
-            if mu == 0:
-                self._x_idx[s] = searchsorted(cands[followers[s]], x)
-                self._y_idx[s] = searchsorted(cands[friends[s]], y)
-        tw_users = self._tw_users.tolist()
-        for k, (nu, z) in enumerate(zip(state.nu.tolist(), state.z.tolist())):
-            if nu == 0:
-                self._z_idx[k] = searchsorted(cands[tw_users[k]], z)
+        pack = self.priors.packed()
+        n_loc = self.world.n_locations
+
+        def fill(index, users, locations, live):
+            users = users[live]
+            slots = pack.slot_of(users, locations[live], n_loc)
+            index[live] = slots - pack.offsets[users]
+
+        f_live = state.mu == 0
+        fill(self._x_idx, self._followers, state.x, f_live)
+        fill(self._y_idx, self._friends, state.y, f_live)
+        fill(self._z_idx, self._tw_users, state.z, state.nu == 0)
         self._ppos_dirty = False
 
     # -- H cache --------------------------------------------------------

@@ -108,7 +108,6 @@ class VectorizedGibbsSampler(GibbsSampler):
         # packed per user.  _raw_counts mirrors the un-smoothed counts
         # as Python floats so patches can recompute cells exactly.
         pack = priors.packed()
-        self._arena_offsets = pack.offsets
         self._cand_arena = np.empty(pack.total_slots, dtype=np.float64)
         self._arena_src = pack.flat_candidates + n_loc * pack.slot_user
         self._gamma_flat = pack.flat_gamma
@@ -190,11 +189,6 @@ class VectorizedGibbsSampler(GibbsSampler):
                 ci.tolist(),
                 n,
             ))
-        # Arena slot of each edge's current assignment (valid whenever
-        # the corresponding selector is on the location branch).
-        self._x_pos = [0] * len(self._f_edges)
-        self._y_pos = [0] * len(self._f_edges)
-        self._z_pos = [0] * len(self._t_edges)
         self._layout_ready = True
 
     def _build_kernels(self) -> None:
@@ -221,28 +215,22 @@ class VectorizedGibbsSampler(GibbsSampler):
     def _rebuild_positions(self) -> None:
         """Map current assignments to arena slots (post-initialize).
 
-        Candidate arrays are sorted and assignments are always drawn
-        from them, so the slot is ``offset + searchsorted`` -- no
-        per-user position dictionaries needed.
+        Each edge remembers the arena slot of its current assignment;
+        the slot is valid while its selector is on the location branch
+        (noise edges carry a placeholder the sweeps never read).
         """
         state = self.state
-        cands = self.priors.candidates
-        offsets = self._arena_offsets
-        searchsorted = np.searchsorted
-        for s, (mu, x, y) in enumerate(
-            zip(state.mu.tolist(), state.x.tolist(), state.y.tolist())
-        ):
-            if mu == 0:
-                i = int(self._followers[s])
-                j = int(self._friends[s])
-                self._x_pos[s] = int(offsets[i]) + int(searchsorted(cands[i], x))
-                self._y_pos[s] = int(offsets[j]) + int(searchsorted(cands[j], y))
-        for k, (nu, z) in enumerate(
-            zip(state.nu.tolist(), state.z.tolist())
-        ):
-            if nu == 0:
-                u = int(self._tw_users[k])
-                self._z_pos[k] = int(offsets[u]) + int(searchsorted(cands[u], z))
+        pack = self.priors.packed()
+
+        def slots(users, locations, live):
+            pos = np.zeros(live.size, dtype=np.int64)
+            pos[live] = pack.slot_of(users[live], locations[live], self._n_loc)
+            return pos.tolist()
+
+        f_live = state.mu == 0
+        self._x_pos = slots(self._followers, state.x, f_live)
+        self._y_pos = slots(self._friends, state.y, f_live)
+        self._z_pos = slots(self._tw_users, state.z, state.nu == 0)
         self._positions_dirty = False
 
     def _refresh_arena(self) -> None:

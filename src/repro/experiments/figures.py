@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.calibration import sampled_pair_buckets
 from repro.core.convergence import ConvergenceTrace
 from repro.core.model import MLPModel
 from repro.core.params import MLPParams
+from repro.data.columnar import compile_world
 from repro.data.model import Dataset
 from repro.evaluation.metrics import accuracy_at
 from repro.evaluation.tasks import (
@@ -21,7 +23,6 @@ from repro.evaluation.tasks import (
     HomePredictionResult,
     MultiLocationResult,
 )
-from repro.mathx.buckets import log_spaced_bucket_following_pairs
 from repro.mathx.powerlaw import PowerLaw, fit_power_law, r_squared_loglog
 
 
@@ -54,20 +55,8 @@ def fig3a(
         raise ValueError("need at least 10 labeled users for Fig. 3(a)")
     if labeled.size > max_users:
         labeled = rng.choice(labeled, size=max_users, replace=False)
-    observed = dataset.observed_locations
-    locs = np.array([observed[int(u)] for u in labeled], dtype=np.int64)
-    dmat = dataset.gazetteer.distance_matrix
-    pair_d = dmat[locs][:, locs]
-    n = labeled.size
-    off = ~np.eye(n, dtype=bool)
-    index_of = {int(u): k for k, u in enumerate(labeled)}
-    has_edge = np.zeros((n, n), dtype=bool)
-    chosen = set(index_of)
-    for e in dataset.following:
-        if e.follower in chosen and e.friend in chosen:
-            has_edge[index_of[e.follower], index_of[e.friend]] = True
-    buckets = log_spaced_bucket_following_pairs(
-        pair_d[off], has_edge[off], n_buckets=n_buckets
+    buckets = sampled_pair_buckets(
+        compile_world(dataset), labeled, n_buckets=n_buckets
     ).nonzero()
     law = fit_power_law(
         buckets.centers, buckets.probabilities, weights=buckets.totals

@@ -111,6 +111,7 @@ def log_spaced_bucket_following_pairs(
     n_buckets: int = 40,
     min_miles: float = 1.0,
     max_miles: float = 3000.0,
+    weights: np.ndarray | None = None,
 ) -> DistanceBuckets:
     """Like :func:`bucket_following_pairs` but with log-spaced buckets.
 
@@ -118,9 +119,23 @@ def log_spaced_bucket_following_pairs(
     hundred miles are nearly empty; log-spaced buckets give every decade
     of distance similar statistical weight, which stabilizes the
     Gibbs-EM refit of (alpha, beta).
+
+    ``weights``, when given, makes entry ``i`` stand for ``weights[i]``
+    pairs at ``distances[i]``, of which ``has_edge[i]`` -- then a count,
+    not a flag -- have a following relationship.  Pairs that share a
+    distance (every user pair between the same two locations) then
+    bucket in one pass over the distinct distances.  Integer-valued
+    counts sum exactly, so the buckets equal those of the expanded
+    one-entry-per-pair input.
     """
     distances = np.asarray(distances, dtype=np.float64)
-    has_edge = np.asarray(has_edge).astype(bool)
+    if weights is None:
+        has_edge = np.asarray(has_edge).astype(bool).astype(np.float64)
+    else:
+        has_edge = np.asarray(has_edge, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != distances.shape:
+            raise ValueError("weights must be parallel to distances")
     if distances.shape != has_edge.shape or distances.ndim != 1:
         raise ValueError("distances and has_edge must be parallel 1-D arrays")
     if n_buckets < 2:
@@ -130,10 +145,11 @@ def log_spaced_bucket_following_pairs(
         np.log10(min_miles), np.log10(max_miles), n_buckets + 1
     )
     idx = np.clip(np.searchsorted(bounds, clamped, side="right") - 1, 0, n_buckets - 1)
-    totals = np.bincount(idx, minlength=n_buckets).astype(np.float64)
-    edges = np.bincount(
-        idx, weights=has_edge.astype(np.float64), minlength=n_buckets
-    )
+    if weights is None:
+        totals = np.bincount(idx, minlength=n_buckets).astype(np.float64)
+    else:
+        totals = np.bincount(idx, weights=weights, minlength=n_buckets)
+    edges = np.bincount(idx, weights=has_edge, minlength=n_buckets)
     centers = np.sqrt(bounds[:-1] * bounds[1:])  # geometric midpoints
     mask = totals > 0
     return DistanceBuckets(

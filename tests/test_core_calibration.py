@@ -1,10 +1,22 @@
 """Tests for (alpha, beta) calibration: initial fit and EM refit."""
 
+import numpy as np
 import pytest
+from reference_setup import (
+    irregular_world,
+    reference_initial_fit,
+    reference_pair_buckets,
+    reference_refit,
+)
 
-from repro.core.calibration import fit_initial_power_law, refit_power_law
+from repro.core.calibration import (
+    fit_initial_power_law,
+    refit_power_law,
+    sampled_pair_buckets,
+)
 from repro.core.gibbs import GibbsSampler
 from repro.core.params import MLPParams
+from repro.data.columnar import compile_world
 from repro.data.generator import SyntheticWorldConfig, generate_world
 from repro.data.model import Dataset, User
 
@@ -125,3 +137,58 @@ class TestRunInference:
         params = MLPParams(n_iterations=7, burn_in=3, seed=1)
         run = run_inference(small_world, params)
         assert run.sampler.state.theta_samples == 4
+
+
+class TestCountBasedGolden:
+    """Both fits equal their pair-by-pair reference forms, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def worlds(self, small_world):
+        return {
+            "small": compile_world(small_world),
+            "irregular": irregular_world(small_world),
+        }
+
+    @pytest.mark.parametrize("name", ["small", "irregular"])
+    @pytest.mark.parametrize("max_users", [2000, 50])
+    def test_initial_fit_matches_pairwise(self, worlds, name, max_users):
+        world = worlds[name]
+        params = MLPParams(seed=9)
+        law = fit_initial_power_law(world, params, max_users=max_users)
+        assert law == reference_initial_fit(world, params, max_users=max_users)
+        assert law.alpha != params.alpha  # a real fit, not the fallback
+
+    @pytest.mark.parametrize("name", ["small", "irregular"])
+    def test_pair_buckets_match_pairwise(self, worlds, name):
+        world = worlds[name]
+        users = np.flatnonzero(world.labeled_mask)
+        got = sampled_pair_buckets(world, users)
+        want = reference_pair_buckets(world, users)
+        for field in ("centers", "totals", "edges"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        n = users.size
+        assert got.totals.sum() == n * (n - 1)
+
+    def test_duplicate_and_self_edges_count_once(self, worlds):
+        world = worlds["irregular"]
+        users = np.flatnonzero(world.labeled_mask)
+        edges = sampled_pair_buckets(world, users).edges.sum()
+        labeled = world.labeled_mask
+        src, dst = world.edge_src, world.edge_dst
+        keep = labeled[src] & labeled[dst] & (src != dst)
+        distinct = np.unique(src[keep] * world.n_users + dst[keep]).size
+        assert edges == distinct < int(keep.sum())
+
+    @pytest.mark.parametrize("name", ["small", "irregular"])
+    @pytest.mark.parametrize("max_users", [2000, 50])
+    def test_refit_matches_pairwise(self, worlds, name, max_users):
+        world = worlds[name]
+        params = MLPParams(n_iterations=4, burn_in=2, seed=5)
+        sampler = GibbsSampler(world, params)
+        sampler.initialize()
+        for _ in range(3):
+            sampler.sweep()
+        law = refit_power_law(world, sampler, params, max_users=max_users)
+        want = reference_refit(world, sampler, params, max_users=max_users)
+        assert law == want
+        assert law is not sampler.following_model.law

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_setup import edgeless_world, irregular_world, reference_initialize
 
 from repro.core.gibbs import NO_ASSIGNMENT, GibbsSampler, _draw_index
 from repro.core.params import MLPParams
@@ -203,3 +204,141 @@ class TestEstimates:
         new_law = PowerLaw(alpha=-0.9, beta=0.02)
         sampler.set_following_law(new_law)
         assert sampler.following_model.law.alpha == -0.9
+
+
+NEAR_ONE = float(np.nextafter(1.0, 0.0))  # rho must stay below 1.0
+
+
+def _initialized(world, params, init, engine=GibbsSampler, priors=None):
+    sampler = engine(world, params, priors=priors, alpha=-0.5, beta=0.01)
+    init(sampler)
+    return sampler
+
+
+class TestBulkInitializeGolden:
+    """``initialize`` equals the per-relationship reference walk exactly."""
+
+    @pytest.fixture(scope="class")
+    def worlds(self, small_world):
+        return {
+            "small": small_world,
+            "irregular": irregular_world(small_world),
+            "edgeless": edgeless_world(small_world),
+        }
+
+    @pytest.mark.parametrize("world_name", ["small", "irregular", "edgeless"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"rho_f": 0.0, "rho_t": 0.0},
+            {"rho_f": NEAR_ONE, "rho_t": NEAR_ONE},
+            {"rho_f": 0.0, "rho_t": NEAR_ONE},
+            {"use_tweeting": False},
+            {"use_following": False},
+            {"use_candidacy": False},
+        ],
+        ids=["default", "rho0", "rho1", "rho01", "mlp_u", "mlp_c", "nocand"],
+    )
+    def test_matches_reference(self, worlds, world_name, overrides):
+        params = MLPParams(n_iterations=2, burn_in=0, seed=11, **overrides)
+        world = worlds[world_name]
+        bulk = _initialized(world, params, GibbsSampler.initialize)
+        ref = _initialized(world, params, reference_initialize)
+        for name in ("mu", "x", "y", "nu", "z"):
+            a, b = getattr(bulk.state, name), getattr(ref.state, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(bulk.state.user_counts.phi, ref.state.user_counts.phi)
+        assert np.array_equal(
+            bulk.state.user_counts.totals, ref.state.user_counts.totals
+        )
+        assert np.array_equal(
+            bulk.tweeting_model.counts_copy(), ref.tweeting_model.counts_copy()
+        )
+        assert np.array_equal(
+            bulk.tweeting_model._totals, ref.tweeting_model._totals
+        )
+        assert bulk.rng.bit_generator.state == ref.rng.bit_generator.state
+        # The chains stay together past initialization.
+        assert bulk.rng.random() == ref.rng.random()
+
+    def test_vectorized_engine_matches_reference(self, small_world):
+        from repro.engine import VectorizedGibbsSampler
+
+        params = MLPParams(n_iterations=3, burn_in=0, seed=2)
+        bulk = _initialized(
+            small_world, params, GibbsSampler.initialize, VectorizedGibbsSampler
+        )
+        ref = _initialized(small_world, params, reference_initialize)
+        for _ in range(2):
+            bulk.sweep()
+            ref.sweep()
+        assert np.array_equal(bulk.state.x, ref.state.x)
+        assert np.array_equal(bulk.state.z, ref.state.z)
+        assert np.array_equal(bulk.state.user_counts.phi, ref.state.user_counts.phi)
+
+    @staticmethod
+    def _zero_gamma_priors(world, params, user):
+        from repro.core.priors import UserPriors, build_user_priors
+
+        base = build_user_priors(world, params)
+        gamma = list(base.gamma)
+        gamma[user] = np.zeros_like(gamma[user])
+        sums = base.gamma_sum.copy()
+        sums[user] = 0.0
+        return UserPriors(
+            candidates=base.candidates, gamma=tuple(gamma), gamma_sum=sums
+        )
+
+    def test_zero_gamma_on_drawn_user_raises(self, small_world):
+        params = MLPParams(n_iterations=2, burn_in=0, seed=1, rho_f=0.0)
+        user = int(small_world.following[0].follower)
+        priors = self._zero_gamma_priors(small_world, params, user)
+        sampler = GibbsSampler(small_world, params, priors=priors)
+        with pytest.raises(RuntimeError, match="degenerate"):
+            sampler.initialize()
+
+    def test_zero_gamma_on_undrawn_user_is_fine(self, small_world):
+        params = MLPParams(n_iterations=2, burn_in=0, seed=1)
+        world = edgeless_world(small_world)
+        priors = self._zero_gamma_priors(world, params, 0)
+        sampler = GibbsSampler(world, params, priors=priors)
+        sampler.initialize()
+        assert sampler.state.user_counts.totals.sum() == 0.0
+
+
+class TestPackedHelpers:
+    def test_gamma_cumsum_is_per_user_cumsum(self, small_world):
+        from repro.core.priors import build_user_priors
+
+        for params in (MLPParams(), MLPParams(use_candidacy=False)):
+            priors = build_user_priors(small_world, params)
+            pack = priors.packed()
+            for u in range(priors.n_users):
+                seg = pack.gamma_cumsum[pack.offsets[u]:pack.offsets[u + 1]]
+                assert np.array_equal(seg, np.cumsum(priors.gamma[u]))
+
+    def test_slot_of_inverts_the_arena(self, small_world):
+        from repro.core.priors import build_user_priors
+
+        pack = build_user_priors(small_world, MLPParams()).packed()
+        n_loc = len(small_world.gazetteer)
+        slots = pack.slot_of(pack.slot_user, pack.flat_candidates, n_loc)
+        assert np.array_equal(slots, np.arange(pack.total_slots))
+
+    def test_home_estimates_match_per_user_argmax(self, sampler_after_sweeps):
+        sampler = sampler_after_sweeps
+        priors = sampler.priors
+        rng = np.random.default_rng(0)
+        # Small integer counts make ties common; the first maximum wins.
+        phi = sampler.state.user_counts.phi
+        for counts in (phi, np.zeros_like(phi), rng.integers(0, 2, phi.shape) * 1.0):
+            want = np.array(
+                [
+                    priors.candidates[u][
+                        int(np.argmax(counts[u, priors.candidates[u]] + priors.gamma[u]))
+                    ]
+                    for u in range(priors.n_users)
+                ]
+            )
+            assert np.array_equal(priors.home_estimates(counts), want)

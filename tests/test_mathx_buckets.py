@@ -87,6 +87,28 @@ class TestLogSpacedBuckets:
         )
         assert b.totals.sum() == 2
 
+    def test_weighted_equals_expanded_pairs(self):
+        rng = np.random.default_rng(3)
+        d = rng.uniform(0.5, 2800.0, size=60)
+        pairs = rng.integers(0, 9, size=60)
+        edges = np.minimum(rng.integers(0, 4, size=60), pairs)
+        got = log_spaced_bucket_following_pairs(
+            d, edges, n_buckets=12, weights=pairs
+        )
+        expanded = np.repeat(d, pairs)
+        flags = np.concatenate(
+            [np.arange(p) < e for p, e in zip(pairs, edges)]
+        )
+        want = log_spaced_bucket_following_pairs(expanded, flags, n_buckets=12)
+        for field in ("centers", "totals", "edges"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_weights_must_be_parallel(self):
+        with pytest.raises(ValueError):
+            log_spaced_bucket_following_pairs(
+                np.array([1.0, 2.0]), np.array([0, 1]), weights=np.array([1.0])
+            )
+
     def test_rejects_too_few_buckets(self):
         with pytest.raises(ValueError):
             log_spaced_bucket_following_pairs(
