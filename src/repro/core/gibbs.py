@@ -231,7 +231,8 @@ class GibbsSampler:
         branch.  The uniforms come in one block (the generator is then
         rewound and advanced by exactly the count used), the
         categorical draws are inverse-CDF searches against the packed
-        per-user cumulative priors, and the counts fill in one scatter.
+        per-user cumulative priors, and the counts are zeroed and refilled
+        in one scatter, so calling it again restarts the chain cleanly.
         """
         rng = self.rng
         state = self.state
@@ -266,6 +267,10 @@ class GibbsSampler:
         state.nu[:] = t_noise
         state.z[:] = NO_ASSIGNMENT
         state.z[t_loc] = zs
+        # Counts are rebuilt from the new assignments, in place: the
+        # engines hold views of these arrays.
+        state.user_counts.clear()
+        self.tweeting_model.clear()
         state.user_counts.increment_many(
             np.concatenate([i_users, j_users, t_users]),
             np.concatenate([xs, ys, zs]),

@@ -33,6 +33,11 @@ class UserLocationCounts:
         #: Row sums of ``phi``.
         self.totals = np.zeros(n_users, dtype=np.float64)
 
+    def clear(self) -> None:
+        """Zero every count in place (views of ``phi`` stay valid)."""
+        self.phi.fill(0.0)
+        self.totals.fill(0.0)
+
     def increment(self, user: int, location: int) -> None:
         """Add one assignment to ``phi[user, location]``."""
         self.phi[user, location] += 1.0

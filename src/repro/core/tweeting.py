@@ -42,6 +42,12 @@ class CollapsedTweetingModel:
         """The additive smoothing parameter."""
         return self._delta
 
+    def clear(self) -> None:
+        """Zero every count in place (views from :meth:`repack_flat`
+        stay valid)."""
+        self._phi.fill(0.0)
+        self._totals.fill(0.0)
+
     def increment(self, location: int, venue: int) -> None:
         """Add one mention to ``phi[location, venue]``."""
         self._phi[location, venue] += 1.0

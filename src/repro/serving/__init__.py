@@ -9,9 +9,9 @@ process-lifetime object into a served product:
 - :mod:`repro.serving.foldin` -- deterministic collapsed fold-in
   scoring of *new* users against the frozen posterior, with an LRU
   result cache;
-- :mod:`repro.serving.batch` -- the vectorized batch fold-in engine:
-  whole populations scored in one numpy pass, bit-identical to the
-  sequential path (``predict_batch`` delegates to it automatically);
+- :mod:`repro.serving.batch` -- the fold-in solver: one vectorized
+  engine that solves every prediction, from a single user to a whole
+  population, in one numpy pass per call;
 - :mod:`repro.serving.cache` -- the thread-safe LRU map behind it;
 - :mod:`repro.serving.server` -- the JSON-over-HTTP protocol: route
   table, body caps, request metrics and the payload builders for

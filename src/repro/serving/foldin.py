@@ -37,18 +37,12 @@ Everything is deterministic (no RNG), vectorized over all of a user's
 relationships at once, and memoized through an LRU cache keyed by
 ``(artifact id, user signature)``.
 
-**Reduction discipline.**  Every floating-point reduction in the solver
-goes through :func:`segment_sum`, which accumulates strictly in input
-order (``np.bincount`` semantics).  That is a deliberate contract with
-the population-scale batch engine (:mod:`repro.serving.batch`): the
-batch path runs the same fixed point for thousands of users at once
-over flat arenas, and because both paths reduce in the identical
-element order, a batch solve is **bit-identical** per user to a
-sequential solve -- numpy's pairwise ``sum`` or BLAS ``@`` would give
-results that differ in the last ulp and break that golden contract.
-``predict_batch`` dedupes specs by signature, serves what it can from
-the cache in bulk, and hands any remaining block of
-``>= batch_threshold`` unique specs to the batch engine.
+Solving lives in :mod:`repro.serving.batch`: every answer -- one
+``predict``, a coalesced window of requests, an edge explanation, a
+whole population -- goes through the one vectorized engine, and a spec
+solves to the same bits alone or inside any batch.  ``predict_batch``
+dedupes specs by signature, serves what it can from the cache in bulk,
+and hands the rest to the engine in one call.
 """
 
 from __future__ import annotations
@@ -68,31 +62,13 @@ from repro.data.columnar import compile_world
 from repro.geo.gazetteer import normalize_place_name
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
+from repro.serving.batch import BatchFoldInEngine, _Solution
 from repro.serving.cache import LRUCache
 
-#: Fold-in + ingest instrumentation (read-only: timings and counts,
-#: never inputs to the solve).  Children are resolved once at import so
-#: the hot path pays a single increment per event.
+#: Fold-in cache + ingest instrumentation (read-only: timings and
+#: counts, never inputs to the solve).  The solve metrics live with the
+#: solver in :mod:`repro.serving.batch`.
 _REG = obs_metrics.get_registry()
-SOLVE_SECONDS = _REG.histogram(
-    "repro_foldin_solve_seconds",
-    "Wall time of fold-in fixed-point solves "
-    "(per user sequentially, per chunk for the batch path)",
-    labelnames=("path",),
-)
-SOLVES_TOTAL = _REG.counter(
-    "repro_foldin_solves_total",
-    "Fold-in fixed-point solves performed (cache hits excluded)",
-    labelnames=("path",),
-)
-ITERATIONS_TOTAL = _REG.counter(
-    "repro_foldin_iterations_total",
-    "Fixed-point iterations summed over all fold-in solves",
-    labelnames=("path",),
-)
-_SEQ_SECONDS = SOLVE_SECONDS.labels(path="sequential")
-_SEQ_SOLVES = SOLVES_TOTAL.labels(path="sequential")
-_SEQ_ITERATIONS = ITERATIONS_TOTAL.labels(path="sequential")
 KERNEL_ROWS = _REG.gauge(
     "repro_foldin_kernel_rows",
     "Kernel rows stored by fold-in predictors in this process",
@@ -110,42 +86,6 @@ INGEST_TOUCHED = _REG.counter(
     "repro_ingest_touched_users_total",
     "Users touched by applied world deltas",
 )
-
-#: ``predict_batch`` hands off to the vectorized batch engine once at
-#: least this many unique, cache-missing specs need solving; below it
-#: the per-user loop wins (the arena lowering has fixed overhead).
-BATCH_CROSSOVER = 32
-
-
-def segment_sum(values: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic per-bin sum: accumulates strictly in input order.
-
-    ``np.bincount`` adds ``values[i]`` into ``out[bins[i]]`` one element
-    at a time, left to right, so each bin's total depends only on its
-    own values *in their input order* -- never on what other bins (or,
-    in the batch engine, other users) contribute.  Used for the
-    scattered reduction (``phi``'s per-candidate accumulation across
-    relationship rows); see :func:`contiguous_segment_sum` for the
-    contiguous ones.
-    """
-    return np.bincount(bins, weights=values, minlength=n)
-
-
-def contiguous_segment_sum(values: np.ndarray, starts) -> np.ndarray:
-    """Per-segment sum over contiguous, non-empty segments.
-
-    A thin wrapper over ``np.add.reduceat`` that exists so the
-    sequential solver and the batch engine reduce through the *same*
-    primitive: whatever summation algorithm reduceat applies to a
-    segment, both paths apply it to per-user-identical data, keeping
-    batch results bit-identical to sequential ones.  (Reduceat is not
-    interchangeable with :func:`segment_sum` -- it may sum a segment
-    pairwise -- which is exactly why both paths must agree on which
-    primitive covers which reduction.)  Callers guarantee non-empty
-    segments; reduceat would silently misread empty ones.
-    """
-    return np.add.reduceat(values, starts)
-
 
 @dataclass(frozen=True, slots=True)
 class UserSpec:
@@ -255,18 +195,6 @@ class FoldInEdgeExplanation:
     pairs: tuple[EdgeScore, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class _Solution:
-    """Internal solver output (cached; rendered lazily)."""
-
-    candidates: np.ndarray
-    gamma: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
-    iterations: int
-    converged: bool
-
-
 class FoldInPredictor:
     """Online scorer over one frozen fitted posterior.
 
@@ -285,10 +213,6 @@ class FoldInPredictor:
         Fixed-point schedule of the expected-count iteration.
     cache_size:
         Capacity of the LRU prediction cache.
-    batch_threshold:
-        ``predict_batch`` delegates to the vectorized batch engine
-        (:mod:`repro.serving.batch`) once at least this many unique,
-        cache-missing specs need solving.
     world:
         The *evidence* world to serve against -- the training world
         grown by ingested :class:`~repro.data.delta.WorldDelta`
@@ -311,7 +235,6 @@ class FoldInPredictor:
         max_iterations: int = 200,
         tolerance: float = 1e-9,
         cache_size: int = 1024,
-        batch_threshold: int = BATCH_CROSSOVER,
         world=None,
     ):
         if result.venue_counts is None:
@@ -326,23 +249,20 @@ class FoldInPredictor:
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.cache = LRUCache(cache_size)
-        self.batch_threshold = batch_threshold
         #: Fixed-point solves actually performed (cache hits and
         #: in-batch duplicates excluded) -- observability for tests,
         #: benchmarks and capacity planning.  Guarded by ``_lock``
-        #: together with the kernel-row cache and the lazy batch
-        #: engine: server handler threads share this predictor.
+        #: together with the kernel-row cache: server handler threads
+        #: share this predictor.
         self.solve_count = 0
         self._lock = threading.Lock()
-        self._batch_engine = None
         #: Per-neighbour kernel rows ``K_j(l) = sum_e theta_j(e) *
         #: law(l, e)`` over all locations, computed once per neighbour
-        #: on first use and shared verbatim by the sequential solver
-        #: and the batch engine (one array, so the two paths cannot
-        #: disagree).  Only neighbours with a non-empty frozen profile
-        #: get an entry -- everyone else (users ingested after the fit
-        #: in particular) reads the shared ``_zero_row`` -- so the
-        #: cache holds at most min(trained neighbours seen,
+        #: on first use and gathered by the engine into every arena
+        #: that reads the neighbour.  Only neighbours with a non-empty
+        #: frozen profile get an entry -- everyone else (users ingested
+        #: after the fit in particular) reads the shared ``_zero_row``
+        #: -- so the cache holds at most min(trained neighbours seen,
         #: ``_kernel_cache_limit``) rows.
         self._kernel_rows: dict[int, np.ndarray] = {}
 
@@ -399,9 +319,8 @@ class FoldInPredictor:
         self._tr_probs = RandomTweetingModel.from_world(
             train_world
         ).venue_probabilities
-        #: Sparse frozen neighbour profiles as one CSR arena: the
-        #: sequential solver slices it per neighbour, the batch engine
-        #: gathers straight from the flat arrays.
+        #: Sparse frozen neighbour profiles as one CSR arena, sliced
+        #: per neighbour by :meth:`_profile_of`.
         counts = np.fromiter(
             (len(p.entries) for p in result.profiles),
             dtype=np.int64,
@@ -419,6 +338,8 @@ class FoldInPredictor:
             dtype=np.float64,
             count=int(self._prof_indptr[-1]),
         )
+        #: The fold-in solver every answer goes through.
+        self.engine = BatchFoldInEngine(self)
 
     # -- spec construction -------------------------------------------------
 
@@ -501,45 +422,7 @@ class FoldInPredictor:
                 f"unknown observed location {spec.observed_location}"
             )
 
-    # -- prior construction (mirrors core.priors) --------------------------
-
-    def _candidates_for(
-        self, spec: UserSpec, world=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidacy vector and gamma prior, exactly as in training.
-
-        Reads the compiled world's user table and referent CSR -- the
-        same arrays prior construction used during training, so a
-        replayed training user gets byte-identical candidacy.
-        """
-        params = self.params
-        if world is None:
-            world = self.world
-        observed = world.observed_location
-        cand_set: set[int] = set()
-        if params.use_candidacy:
-            if spec.observed_location is not None:
-                cand_set.add(spec.observed_location)
-            if params.use_following:
-                for nb in set(spec.friends) | set(spec.followers):
-                    loc = int(observed[nb])
-                    if loc >= 0:
-                        cand_set.add(loc)
-            if params.use_tweeting:
-                for vid in set(spec.venues):
-                    cand_set.update(world.referents_of(vid).tolist())
-        if cand_set:
-            cand = np.array(sorted(cand_set), dtype=np.int64)
-        else:
-            cand = np.arange(self.n_locations, dtype=np.int64)
-        gamma = np.full(cand.size, params.tau, dtype=np.float64)
-        if spec.observed_location is not None:
-            pos = int(np.searchsorted(cand, spec.observed_location))
-            if pos < cand.size and cand[pos] == spec.observed_location:
-                gamma[pos] += params.boost
-        return cand, gamma
-
-    # -- the fold-in solve -------------------------------------------------
+    # -- frozen tables ------------------------------------------------------
 
     def _profile_of(self, user_id: int) -> tuple[np.ndarray, np.ndarray]:
         """One neighbour's frozen sparse profile (CSR slice views).
@@ -556,11 +439,11 @@ class FoldInPredictor:
     def _kernel_row(self, neighbor: int) -> np.ndarray:
         """``K_j`` over every location, computed once per neighbour.
 
-        Both the sequential solver and the batch engine read rows from
-        this one cache, so the two paths see literally the same floats
-        -- the cornerstone of the batch path's bit-identity guarantee.
-        (A cache overflow recomputes the identical deterministic
-        expression, so results cannot change; only time is lost.)
+        Every arena the engine lowers gathers its following rows from
+        this one cache, so a spec reads the same floats whichever batch
+        it is solved in.  (A cache overflow recomputes the identical
+        deterministic expression, so results cannot change; only time
+        is lost.)
         First writer wins under the lock, so concurrent handler
         threads converge on a single shared array per neighbour.  A
         neighbour with an empty profile gets the shared read-only
@@ -581,111 +464,6 @@ class FoldInPredictor:
                     KERNEL_ROWS.inc()
         return row
 
-    def _relationship_rows(
-        self, spec: UserSpec, cand: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Frozen per-relationship weight rows over the candidate set.
-
-        Returns ``(M, noise, loc_factor)``: row ``r`` of ``M`` is the
-        location-branch weight of relationship ``r`` at each candidate,
-        ``noise[r]`` the absolute noise-branch weight, ``loc_factor[r]``
-        the ``(1 - rho)`` prefactor.  Rows are gathers -- from the
-        shared per-neighbour kernel cache for following edges, from the
-        frozen ``psi`` for venue mentions -- so the batch engine's
-        flat-arena construction reproduces them bit for bit.
-        """
-        params = self.params
-        rows: list[np.ndarray] = []
-        noise: list[float] = []
-        factor: list[float] = []
-        if params.use_following:
-            for nb in spec.friends + spec.followers:
-                rows.append(self._kernel_row(nb)[cand])
-                noise.append(self._fr_noise)
-                factor.append(1.0 - params.rho_f)
-        if params.use_tweeting:
-            for vid in spec.venues:
-                rows.append(self._psi[cand, vid])
-                noise.append(params.rho_t * float(self._tr_probs[vid]))
-                factor.append(1.0 - params.rho_t)
-        if not rows:
-            zero = np.zeros(0, dtype=np.float64)
-            return np.zeros((0, cand.size)), zero, zero
-        return np.stack(rows), np.array(noise), np.array(factor)
-
-    def _solve(self, spec: UserSpec, world=None) -> _Solution:
-        """Instrumented sequential solve: timing + iteration accounting.
-
-        The numerical work lives in :meth:`_solve_exact`; this wrapper
-        only observes it, so instrumentation cannot perturb the result.
-        """
-        t0 = time.perf_counter()
-        with span("foldin.solve"):
-            solution = self._solve_exact(spec, world)
-        _SEQ_SECONDS.observe(time.perf_counter() - t0)
-        _SEQ_SOLVES.inc()
-        _SEQ_ITERATIONS.inc(solution.iterations)
-        return solution
-
-    def _solve_exact(self, spec: UserSpec, world=None) -> _Solution:
-        # One world snapshot per solve: a concurrent refresh() swaps
-        # self.world atomically, and mixing two generations inside one
-        # solve would validate against one world and build candidacy
-        # from another.  Callers that cache pass the snapshot in, so
-        # they can refuse to cache a result solved against a world that
-        # was refreshed away mid-solve.
-        if world is None:
-            world = self.world
-        self._validate(spec, world)
-        cand, gamma = self._candidates_for(spec, world)
-        n_cand = cand.size
-        one_segment = np.zeros(1, dtype=np.intp)
-        gamma_sum = float(contiguous_segment_sum(gamma, one_segment)[0])
-        M, noise, factor = self._relationship_rows(spec, cand)
-        phi = np.zeros(n_cand, dtype=np.float64)
-        iterations = 0
-        converged = True
-        if len(M):
-            n_rel = M.shape[0]
-            row_starts = np.arange(0, n_rel * n_cand, n_cand, dtype=np.intp)
-            cand_of_cell = np.tile(np.arange(n_cand), n_rel)
-            converged = False
-            for iterations in range(1, self.max_iterations + 1):
-                w = phi + gamma
-                total = (
-                    float(contiguous_segment_sum(phi, one_segment)[0])
-                    + gamma_sum
-                )
-                joint = M * w  # (R, C)
-                sums = contiguous_segment_sum(joint.ravel(), row_starts)
-                p_loc = factor * sums / total
-                denom = p_loc + noise
-                resp = np.divide(
-                    p_loc, denom, out=np.zeros_like(p_loc), where=denom > 0
-                )
-                scale = np.divide(
-                    resp, sums, out=np.zeros_like(sums), where=sums > 0
-                )
-                phi_new = segment_sum(
-                    (joint * scale[:, None]).ravel(), cand_of_cell, n_cand
-                )
-                drift = float(np.max(np.abs(phi_new - phi)))
-                phi = phi_new
-                if drift < self.tolerance:
-                    converged = True
-                    break
-        theta = (phi + gamma) / (
-            float(contiguous_segment_sum(phi, one_segment)[0]) + gamma_sum
-        )
-        return _Solution(
-            candidates=cand,
-            gamma=gamma,
-            phi=phi,
-            theta=theta,
-            iterations=iterations,
-            converged=converged,
-        )
-
     def _render(self, solution: _Solution) -> FoldInPrediction:
         cand = solution.candidates
         theta = solution.theta
@@ -702,17 +480,6 @@ class FoldInPredictor:
         )
 
     # -- public scoring ----------------------------------------------------
-
-    @property
-    def batch_engine(self):
-        """The lazily-built vectorized batch engine (shared arenas)."""
-        if self._batch_engine is None:
-            from repro.serving.batch import BatchFoldInEngine
-
-            with self._lock:
-                if self._batch_engine is None:
-                    self._batch_engine = BatchFoldInEngine(self)
-        return self._batch_engine
 
     @staticmethod
     def _spec_tags(spec: UserSpec) -> tuple[int, ...]:
@@ -742,18 +509,7 @@ class FoldInPredictor:
 
     def predict(self, spec: UserSpec, use_cache: bool = True) -> FoldInPrediction:
         """Score one user; served from the LRU cache when possible."""
-        key = (self.artifact_id, spec.signature())
-        if use_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return replace(cached, from_cache=True)
-        with self._lock:
-            self.solve_count += 1
-        world = self.world
-        prediction = self._render(self._solve(spec, world))
-        if use_cache:
-            self._cache_put([(key, prediction, self._spec_tags(spec))], world)
-        return prediction
+        return self.predict_batch([spec], use_cache)[0]
 
     def predict_batch(
         self, specs: list[UserSpec] | tuple[UserSpec, ...], use_cache: bool = True
@@ -763,13 +519,11 @@ class FoldInPredictor:
         Specs are deduplicated by signature first (a batch of k
         identical specs costs exactly one solve, cache on or off), then
         looked up in the LRU cache in bulk; whatever remains is solved
-        -- through the vectorized batch engine when at least
-        ``batch_threshold`` specs need solving (one numpy pass over a
-        flat arena, bit-identical per user to the sequential path), or
-        one ``_solve`` at a time below that.  Results fan back out to
+        in one engine call (one numpy pass over a flat arena, each
+        spec's answer independent of the others).  Results fan back out to
         the request order; with the cache enabled, later duplicates of
         a spec solved earlier in the same batch report
-        ``from_cache=True`` exactly as they would under sequential
+        ``from_cache=True`` exactly as they would under one-at-a-time
         ``predict`` calls.
         """
         specs = list(specs)
@@ -790,10 +544,7 @@ class FoldInPredictor:
         if miss_indices:
             world = self.world
             to_solve = [specs[i] for i in miss_indices]
-            if len(to_solve) >= self.batch_threshold:
-                solutions = self.batch_engine.solve(to_solve, world)
-            else:
-                solutions = [self._solve(spec, world) for spec in to_solve]
+            solutions = self.engine.solve(to_solve, world)
             with self._lock:
                 self.solve_count += len(to_solve)
             for index, solution in zip(miss_indices, solutions):
@@ -945,7 +696,7 @@ class FoldInPredictor:
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         if not 0 <= neighbor < self.world.n_users:
             raise ValueError(f"unknown neighbour user id {neighbor}")
-        solution = self._solve(spec)
+        solution = self.engine.solve([spec])[0]
         cand = solution.candidates
         w = solution.phi + solution.gamma
         total = float(solution.phi.sum()) + float(solution.gamma.sum())

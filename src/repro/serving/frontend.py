@@ -17,8 +17,9 @@ Common to both:
 - ``/predict-home`` and ``/predict-batch`` are **micro-batched**:
   requests arriving within a ``coalesce_ms`` window are coalesced into
   one dispatch, where the whole window folds into a single
-  ``predict_batch`` call -- the batch engine amortizes its arena
-  lowering across requests that would each have paid it alone;
+  ``predict_batch`` call -- the fold-in engine pays its per-call cost
+  (arena lowering, the iteration's numpy dispatch) once per window,
+  not once per request;
 - with workers, dispatches round-robin over the :class:`~repro.serving
   .workers.WorkerPool`; a dead worker (``kill -9``) is detected by its
   broken pipe, the batch re-dispatched to a survivor, and -- with no

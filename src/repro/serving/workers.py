@@ -2,7 +2,7 @@
 
 Each worker is a forked child running the *existing* fold-in stack
 unchanged -- the same :class:`~repro.serving.foldin.FoldInPredictor`,
-the same sequential/batch solvers, the same response builders as the
+the same fold-in engine, the same response builders as the
 front end's inline path (:mod:`repro.serving.server`).  What changes is only
 where the world comes from: instead of sharing the parent's address
 space, a worker attaches generations published through a
@@ -26,7 +26,8 @@ and serializes on :class:`WorkerHandle`):
   ``label_users`` union of the generations skipped), then resolves
   every request's specs and folds them into **one**
   ``predict_batch`` call -- the coalescing win: k requests of one spec
-  each cost one batch-engine solve, not k sequential ones.  Replies
+  each cost one engine call over k specs, whose per-call cost is paid
+  once, not k times.  Replies
   with per-request ``{"status", "body"}`` plus the generation served;
 - ``{"kind": "status"}`` -- pid + attached generation (healthz);
 - ``{"kind": "stop"}`` -- clean exit.

@@ -55,6 +55,39 @@ class TestInvariants:
         sampler.initialize()
         check_count_consistency(sampler)
 
+    @pytest.mark.parametrize("engine", ["loop", "vectorized", "partitioned"])
+    def test_second_initialize_restarts_counts(self, small_world, engine):
+        """A repeated ``initialize`` rebuilds the counts from the new
+        assignments instead of adding onto the old ones -- in place, so
+        the engines' views of the count arrays keep working."""
+        from repro.engine import PartitionedGibbsSampler, VectorizedGibbsSampler
+
+        cls = {
+            "loop": GibbsSampler,
+            "vectorized": VectorizedGibbsSampler,
+            "partitioned": PartitionedGibbsSampler,
+        }[engine]
+        sampler = cls(small_world, MLPParams(n_iterations=2, burn_in=0, seed=4))
+        try:
+            for _ in range(2):
+                sampler.initialize()
+                live = 2 * int((sampler.state.mu == 0).sum()) + int(
+                    (sampler.state.nu == 0).sum()
+                )
+                assert sampler.state.user_counts.totals.sum() == live
+                check_count_consistency(sampler)
+                venues = np.zeros_like(sampler.tweeting_model.counts_copy())
+                for k in np.flatnonzero(sampler.state.nu == 0):
+                    venues[sampler.state.z[k], sampler._tw_venues[k]] += 1
+                assert np.array_equal(venues, sampler.tweeting_model.counts_copy())
+                assert np.array_equal(
+                    venues.sum(axis=1), sampler.tweeting_model._totals
+                )
+                sampler.sweep()
+                check_count_consistency(sampler)
+        finally:
+            getattr(sampler, "close", lambda: None)()
+
     def test_counts_match_assignments_after_sweeps(self, sampler_after_sweeps):
         check_count_consistency(sampler_after_sweeps)
 

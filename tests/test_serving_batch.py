@@ -1,20 +1,25 @@
-"""Batch fold-in engine tests: bit-identity, masking, dedupe, the lot.
+"""Fold-in engine tests: exactness, masking, dedupe, the lot.
 
-The headline contract is **bit-identity**: for every spec, the
-vectorized batch engine must produce *exactly* the floats the
-sequential ``FoldInPredictor._solve`` produces -- same candidates, same
-gamma, same phi, same theta, same iteration count, same convergence
-flag -- regardless of batch composition, chunk boundaries, or which
-other users converge first.
+The headline contract is **exactness**: for every spec, the vectorized
+engine must produce *exactly* the floats the one-user-at-a-time
+reference (``tests/reference_foldin.py``) produces -- same candidates,
+same gamma, same phi, same theta, same iteration count, same
+convergence flag -- regardless of batch composition, chunk boundaries,
+or which other users converge first.
 """
 
 import numpy as np
 import pytest
+from reference_foldin import assert_solutions_identical, reference_solve
 
 from repro.core.model import MLPModel
 from repro.core.params import MLPParams
 from repro.data.generator import SyntheticWorldConfig, generate_world
-from repro.serving.batch import BatchFoldInEngine, score_population
+from repro.serving.batch import (
+    UNCONVERGED_TOTAL,
+    BatchFoldInEngine,
+    score_population,
+)
 from repro.serving.foldin import FoldInPredictor, UserSpec
 
 
@@ -39,20 +44,15 @@ def engine(predictor):
     return BatchFoldInEngine(predictor)
 
 
-def assert_solutions_identical(sequential, batch):
-    assert np.array_equal(sequential.candidates, batch.candidates)
-    assert np.array_equal(sequential.gamma, batch.gamma)
-    assert np.array_equal(sequential.phi, batch.phi)
-    assert np.array_equal(sequential.theta, batch.theta)
-    assert sequential.iterations == batch.iterations
-    assert sequential.converged == batch.converged
-
-
 def assert_batch_matches_sequential(predictor, engine, specs):
+    """The engine's batch solve equals the per-user reference, spec by
+    spec."""
     solutions = engine.solve(specs)
     assert len(solutions) == len(specs)
     for spec, batch_solution in zip(specs, solutions):
-        assert_solutions_identical(predictor._solve(spec), batch_solution)
+        assert_solutions_identical(
+            reference_solve(predictor, spec), batch_solution
+        )
 
 
 class TestBitIdentity:
@@ -73,8 +73,9 @@ class TestBitIdentity:
         one_chunk = BatchFoldInEngine(
             predictor, chunk_size=len(specs)
         ).solve(specs)
-        for a, b in zip(small_chunks, one_chunk):
+        for spec, a, b in zip(specs, small_chunks, one_chunk):
             assert_solutions_identical(a, b)
+            assert_solutions_identical(reference_solve(predictor, spec), a)
 
     def test_batch_composition_does_not_change_results(
         self, predictor, engine
@@ -86,18 +87,51 @@ class TestBitIdentity:
         among = engine.solve(crowd + [target])[-1]
         assert_solutions_identical(alone, among)
 
-    def test_non_converged_users_match(self, result, world):
+    def test_spec_alone_equals_spec_in_mixed_batch(self, predictor, world):
+        """Every spec of a mixed window -- replayed users, explicit
+        evidence, no evidence, an observed home, repeated venues --
+        solves to the same bits alone as inside the window, whatever
+        its position and whoever converges first."""
+        labeled = list(world.labeled_user_ids[:3])
+        unlabeled = [
+            u for u in range(world.n_users)
+            if u not in world.observed_locations
+        ]
+        window = [
+            predictor.spec_for_training_user(unlabeled[0]),
+            UserSpec(friends=tuple(labeled[:2]), venues=(0, 3)),
+            UserSpec(),
+            UserSpec(friends=(unlabeled[1], unlabeled[2])),
+            predictor.spec_for_training_user(labeled[2]),
+            UserSpec(observed_location=5, venues=(1, 1, 2)),
+            predictor.spec_for_training_user(unlabeled[3]),
+        ]
+        engine = BatchFoldInEngine(predictor)
+        for order in (window, window[::-1]):
+            mixed = engine.solve(order)
+            for spec, solution in zip(order, mixed):
+                alone = engine.solve([spec])[0]
+                assert_solutions_identical(alone, solution)
+                assert_solutions_identical(
+                    reference_solve(predictor, spec), solution
+                )
+
+    @pytest.mark.parametrize("budget", [3, 0])
+    def test_non_converged_users_match(self, result, world, budget):
         """A tiny iteration budget exercises the ran-out-of-budget path."""
         short = FoldInPredictor(
-            result, artifact_id="short", max_iterations=3
+            result, artifact_id="short", max_iterations=budget
         )
         specs = [
             short.spec_for_training_user(uid) for uid in range(world.n_users)
         ]
-        solutions = BatchFoldInEngine(short).solve(specs)
+        solutions = BatchFoldInEngine(short, chunk_size=50).solve(specs)
         assert any(not s.converged for s in solutions)
+        assert all(s.iterations <= budget for s in solutions)
         for spec, batch_solution in zip(specs, solutions):
-            assert_solutions_identical(short._solve(spec), batch_solution)
+            assert_solutions_identical(
+                reference_solve(short, spec), batch_solution
+            )
 
     @pytest.mark.parametrize(
         "ablation",
@@ -159,13 +193,19 @@ class TestEdgeCases:
         ]
         assert_batch_matches_sequential(predictor, engine, specs)
 
-    def test_validation_matches_sequential_messages(self, engine):
-        with pytest.raises(ValueError, match="neighbour user id 10000"):
-            engine.solve([UserSpec(friends=(10_000,))])
-        with pytest.raises(ValueError, match="venue id"):
-            engine.solve([UserSpec(venues=(10_000_000,))])
-        with pytest.raises(ValueError, match="observed location -5"):
-            engine.solve([UserSpec(observed_location=-5)])
+    def test_validation_matches_sequential_messages(self, predictor, engine):
+        """The engine rejects bad ids with the per-spec validator's
+        messages."""
+        for spec, message in (
+            (UserSpec(friends=(10_000,)), "neighbour user id 10000"),
+            (UserSpec(followers=(-1,)), "neighbour user id -1"),
+            (UserSpec(venues=(10_000_000,)), "venue id 10000000"),
+            (UserSpec(observed_location=-5), "observed location -5"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                predictor._validate(spec)
+            with pytest.raises(ValueError, match=message):
+                engine.solve([UserSpec(), spec])
 
     def test_rejects_nonpositive_chunk_size(self, predictor):
         with pytest.raises(ValueError, match="chunk_size"):
@@ -173,23 +213,22 @@ class TestEdgeCases:
 
 
 class TestPredictBatchDelegation:
-    def test_large_batch_goes_through_engine(self, result, world):
-        """Past the crossover, predict_batch output equals sequential."""
-        batching = FoldInPredictor(
-            result, artifact_id="delegate", batch_threshold=4
-        )
-        sequential = FoldInPredictor(
-            result, artifact_id="delegate", batch_threshold=10**9
-        )
-        specs = [
-            batching.spec_for_training_user(uid) for uid in range(50)
-        ]
-        fast = batching.predict_batch(specs, use_cache=False)
-        slow = sequential.predict_batch(specs, use_cache=False)
-        for a, b in zip(fast, slow):
-            assert a.profile == b.profile
-            assert a.iterations == b.iterations
-            assert a.converged == b.converged
+    def test_predict_is_a_batch_of_one(self, result):
+        """``predict`` solves through the engine and answers exactly what
+        ``predict_batch`` does."""
+        predictor = FoldInPredictor(result, artifact_id="one")
+        spec = predictor.spec_for_training_user(9)
+        before = predictor.solve_count
+        one = predictor.predict(spec, use_cache=False)
+        assert predictor.solve_count == before + 1
+        (batched,) = predictor.predict_batch([spec], use_cache=False)
+        assert one == batched
+        assert one.profile.entries == predictor._render(
+            reference_solve(predictor, spec)
+        ).profile.entries
+        cached = predictor.predict(spec)
+        assert not cached.from_cache
+        assert predictor.predict(spec).from_cache
 
     def test_duplicates_solved_once_without_cache(self, result, world):
         """A batch of k identical specs costs exactly one solve."""
@@ -204,20 +243,10 @@ class TestPredictBatchDelegation:
         assert all(p.profile == first.profile for p in predictions)
         assert not any(p.from_cache for p in predictions)
 
-    def test_duplicates_solved_once_through_engine(self, result):
-        """Dedupe happens before the crossover count, so k copies of one
-        spec never trip the batch engine -- and still one solve."""
-        predictor = FoldInPredictor(
-            result, artifact_id="dedupe-engine", batch_threshold=4
-        )
-        spec = predictor.spec_for_training_user(5)
-        before = predictor.solve_count
-        predictor.predict_batch([spec] * 40, use_cache=False)
-        assert predictor.solve_count == before + 1
-
     def test_duplicates_with_cache_report_cache_hits(self, result):
-        """With the cache on, later duplicates behave exactly like the
-        old sequential loop: first solves, the rest are cache hits."""
+        """With the cache on, later duplicates behave exactly like
+        one-at-a-time ``predict`` calls: first solves, the rest are
+        cache hits."""
         predictor = FoldInPredictor(result, artifact_id="dedupe-cache")
         spec = predictor.spec_for_training_user(7)
         first, second, third = predictor.predict_batch([spec] * 3)
@@ -277,4 +306,21 @@ class TestKernelRowCache:
         assert len(predictor._kernel_rows) <= 5
         # Overflowing the cache must not change results.
         for spec, batch_solution in zip(specs[:10], solutions[:10]):
-            assert_solutions_identical(predictor._solve(spec), batch_solution)
+            assert_solutions_identical(
+                reference_solve(predictor, spec), batch_solution
+            )
+
+
+class TestSolveMetrics:
+    def test_unconverged_answers_are_counted(self, result, world):
+        """One count per solution that stopped at ``max_iterations``."""
+        short = FoldInPredictor(result, artifact_id="cap", max_iterations=1)
+        specs = [short.spec_for_training_user(u) for u in range(30)]
+        before = UNCONVERGED_TOTAL.value
+        solutions = BatchFoldInEngine(short, chunk_size=8).solve(specs)
+        unconverged = sum(not s.converged for s in solutions)
+        assert unconverged > 0
+        assert UNCONVERGED_TOTAL.value - before == unconverged
+        before = UNCONVERGED_TOTAL.value
+        FoldInPredictor(result, artifact_id="uncapped").engine.solve(specs)
+        assert UNCONVERGED_TOTAL.value == before

@@ -254,9 +254,10 @@ class TestConstruction:
         from repro.core.priors import build_user_priors
 
         priors = build_user_priors(world, result.params)
-        for uid in range(0, world.n_users, 11):
-            cand, gamma = predictor._candidates_for(
-                predictor.spec_for_training_user(uid)
-            )
-            assert np.array_equal(cand, priors.candidates[uid])
-            assert np.array_equal(gamma, priors.gamma[uid])
+        uids = range(0, world.n_users, 11)
+        solutions = predictor.engine.solve(
+            [predictor.spec_for_training_user(uid) for uid in uids]
+        )
+        for uid, solution in zip(uids, solutions):
+            assert np.array_equal(solution.candidates, priors.candidates[uid])
+            assert np.array_equal(solution.gamma, priors.gamma[uid])

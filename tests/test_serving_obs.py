@@ -126,6 +126,7 @@ class TestMetricsEndpoint:
             "repro_foldin_solve_seconds",
             "repro_foldin_solves_total",
             "repro_foldin_iterations_total",
+            "repro_foldin_unconverged_total",
             "repro_foldin_kernel_rows",
             "repro_cache_hits_total",
             "repro_cache_misses_total",

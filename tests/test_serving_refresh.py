@@ -4,12 +4,15 @@ The serving half of the streaming-ingest golden contract: a predictor
 refreshed with N interleaved :class:`WorldDelta` batches must produce
 **bit-identical** fold-in output (phi / theta / iterations / converged)
 to a predictor built over a from-scratch recompile of the same final
-dataset -- across ablations, interleavings and batch/sequential paths.
-Plus the surgical cache-invalidation policy that makes refresh cheap.
+dataset -- across ablations and interleavings -- and to the per-user
+reference solve (``tests/reference_foldin.py``) over the refreshed
+world.  Plus the surgical cache-invalidation policy that makes refresh
+cheap.
 """
 
 import numpy as np
 import pytest
+from reference_foldin import assert_solutions_identical, reference_solve
 
 from repro.core.model import MLPModel
 from repro.core.params import MLPParams
@@ -77,14 +80,6 @@ def recompiled_twin(result, refreshed_world):
     return FoldInPredictor(result, artifact_id="twin", world=scratch)
 
 
-def assert_solutions_identical(a, b):
-    assert np.array_equal(a.candidates, b.candidates)
-    assert np.array_equal(a.phi, b.phi)
-    assert np.array_equal(a.theta, b.theta)
-    assert a.iterations == b.iterations
-    assert a.converged == b.converged
-
-
 class TestGoldenRefresh:
     def test_interleaved_refreshes_match_recompile(self, result):
         """Acceptance: fold-in after N interleaved applies == recompile."""
@@ -97,10 +92,8 @@ class TestGoldenRefresh:
             for uid in range(predictor.world.n_users)
         ]
         specs.append(UserSpec(friends=(3, predictor.world.n_users - 1)))
-        for spec in specs:
-            assert_solutions_identical(
-                predictor._solve(spec), twin._solve(spec)
-            )
+        for a, b in zip(predictor.engine.solve(specs), twin.engine.solve(specs)):
+            assert_solutions_identical(a, b)
 
     def test_batch_path_matches_after_refresh(self, result):
         predictor = FoldInPredictor(result, artifact_id="live-batch")
@@ -109,8 +102,8 @@ class TestGoldenRefresh:
             predictor.spec_for_training_user(uid)
             for uid in range(0, predictor.world.n_users, 2)
         ]
-        sequential = [predictor._solve(spec) for spec in specs]
-        batched = predictor.batch_engine.solve(specs)
+        sequential = [reference_solve(predictor, spec) for spec in specs]
+        batched = predictor.engine.solve(specs)
         for a, b in zip(sequential, batched):
             assert_solutions_identical(a, b)
 
@@ -130,11 +123,14 @@ class TestGoldenRefresh:
         predictor = FoldInPredictor(result, artifact_id="abl")
         stream_deltas(predictor, rounds=2)
         twin = recompiled_twin(result, predictor.world)
-        for uid in range(0, predictor.world.n_users, 3):
-            spec = predictor.spec_for_training_user(uid)
-            assert_solutions_identical(
-                predictor._solve(spec), twin._solve(spec)
-            )
+        specs = [
+            predictor.spec_for_training_user(uid)
+            for uid in range(0, predictor.world.n_users, 3)
+        ]
+        live = predictor.engine.solve(specs)
+        for spec, a, b in zip(specs, live, twin.engine.solve(specs)):
+            assert_solutions_identical(a, b)
+            assert_solutions_identical(reference_solve(predictor, spec), a)
 
     def test_frozen_tables_survive_refresh(self, result):
         """Ingest must not reweight the frozen posterior's noise models."""
@@ -198,8 +194,9 @@ def grow_with_arrivals(predictor, n_new=4):
 
 
 class TestPostFitNeighbours:
-    """Neighbours ingested after the fit share one zero kernel row and
-    never enter the kernel-row cache, in either fold-in path."""
+    """Neighbours ingested after the fit share one zero kernel row, never
+    enter the kernel-row cache, and the engine reads zeros for their
+    cells."""
 
     def test_post_fit_neighbours_are_never_cached(self, result):
         predictor = FoldInPredictor(result, artifact_id="uncached")
@@ -234,7 +231,7 @@ class TestPostFitNeighbours:
         specs.append(UserSpec(friends=(new[0], 2, new[3]), followers=(8,)))
         batched = BatchFoldInEngine(predictor).solve(specs)
         for spec, solution in zip(specs, batched):
-            assert_solutions_identical(predictor._solve(spec), solution)
+            assert_solutions_identical(reference_solve(predictor, spec), solution)
 
     def test_batch_matches_sequential_all_post_fit_neighbours(self, result):
         """No following cell survives the trained-neighbour mask."""
@@ -247,7 +244,7 @@ class TestPostFitNeighbours:
         ]
         batched = BatchFoldInEngine(predictor).solve(specs)
         for spec, solution in zip(specs, batched):
-            assert_solutions_identical(predictor._solve(spec), solution)
+            assert_solutions_identical(reference_solve(predictor, spec), solution)
         assert not predictor._kernel_rows
 
 
@@ -327,7 +324,7 @@ class TestRefreshRaces:
         spec = UserSpec(friends=(7,))
         stale_world = predictor.world
         stale_prediction = predictor._render(
-            predictor._solve(spec, stale_world)
+            predictor.engine.solve([spec], stale_world)[0]
         )
         predictor.refresh(WorldDelta(labels={7: 2}))
         key = (predictor.artifact_id, spec.signature())
