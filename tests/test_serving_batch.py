@@ -55,6 +55,24 @@ def assert_batch_matches_sequential(predictor, engine, specs):
         )
 
 
+def assert_budget_run_matches_reference(result, world, budget):
+    """Under an iteration budget of ``budget``, some users run out of
+    budget and the engine still equals the reference, user by user."""
+    short = FoldInPredictor(
+        result, artifact_id="short", max_iterations=budget
+    )
+    specs = [
+        short.spec_for_training_user(uid) for uid in range(world.n_users)
+    ]
+    solutions = BatchFoldInEngine(short, chunk_size=50).solve(specs)
+    assert any(not s.converged for s in solutions)
+    assert all(s.iterations <= budget for s in solutions)
+    for spec, batch_solution in zip(specs, solutions):
+        assert_solutions_identical(
+            reference_solve(short, spec), batch_solution
+        )
+
+
 class TestBitIdentity:
     def test_every_training_user(self, predictor, engine, world):
         """Golden: the whole training population, user by user."""
@@ -116,22 +134,13 @@ class TestBitIdentity:
                     reference_solve(predictor, spec), solution
                 )
 
-    @pytest.mark.parametrize("budget", [3, 0])
-    def test_non_converged_users_match(self, result, world, budget):
+    def test_non_converged_users_match(self, result, world):
         """A tiny iteration budget exercises the ran-out-of-budget path."""
-        short = FoldInPredictor(
-            result, artifact_id="short", max_iterations=budget
-        )
-        specs = [
-            short.spec_for_training_user(uid) for uid in range(world.n_users)
-        ]
-        solutions = BatchFoldInEngine(short, chunk_size=50).solve(specs)
-        assert any(not s.converged for s in solutions)
-        assert all(s.iterations <= budget for s in solutions)
-        for spec, batch_solution in zip(specs, solutions):
-            assert_solutions_identical(
-                reference_solve(short, spec), batch_solution
-            )
+        assert_budget_run_matches_reference(result, world, budget=3)
+
+    def test_zero_iteration_budget_matches(self, result, world):
+        """With no iterations at all every user leaves unconverged."""
+        assert_budget_run_matches_reference(result, world, budget=0)
 
     @pytest.mark.parametrize(
         "ablation",
