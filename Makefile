@@ -52,12 +52,16 @@ loadgen-scale:
 		--label loadgen_scale
 	LOADGEN_SCALE=1 $(PYTHON) tools/bench_gate.py
 
-## one seeded run each of the benchmark's serve workload (fit, save,
+## one seeded run each of the benchmark's fit workload (generate and
+## fit paper-shaped worlds; a repeated fit must score identically and
+## ACC@100 must beat the prior), serve workload (fit, save,
 ## `repro serve --workers 0`, read-only traffic) and ingest workload
 ## (`repro serve --workers 1 --journal --store`, writes beside reads,
 ## then replay == live); fails unless each result line reports
 ## "correct": true
 perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload fit --seed 1 \
+		| tail -n 1 | tee /dev/stderr | grep -q '"correct": true'
 	$(PYTHON) perfbench/run.py --workload serve --seed 1 \
 		| tail -n 1 | tee /dev/stderr | grep -q '"correct": true'
 	$(PYTHON) perfbench/run.py --workload ingest --seed 1 \

@@ -11,7 +11,12 @@ Measures the three claims the ``ColumnarWorld`` refactor makes:
    serving fold-in predictor over the same world trigger **zero**
    additional compiles (``repro.data.columnar.compile_count`` is
    diffed around the whole flow).
-3. **Arena setup >= 2x faster**: the vectorized engine's per-fit arena
+3. **Sharded generation without per-draw numpy calls**: the
+   generator's block-drawn uniforms and plain-Python CDF lookups are
+   timed against the per-draw reference form in
+   ``tests/reference_generator.py`` on the ``fit`` and ``serve``
+   workload world shapes, and must produce the same arrays.
+4. **Arena setup >= 2x faster**: the vectorized engine's per-fit arena
    construction (the pre-refactor Python-loop offsets/concat/position-
    dict build, replicated here verbatim) is compared against the shared
    :meth:`~repro.core.priors.UserPriors.packed` layout; the packed
@@ -24,14 +29,21 @@ session journal.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.params import MLPParams
 from repro.core.priors import UserPriors, build_user_priors
 from repro.data import columnar
-from repro.data.generator import SyntheticWorldConfig, generate_columnar_world
+from repro.data.generator import (
+    SyntheticWorldConfig,
+    _sharded_arrays,
+    generate_columnar_world,
+)
+from repro.geo.us_cities import builtin_gazetteer
 
 #: The acceptance-scale world: >= 50k users, sparse degrees so the
 #: end-to-end fit stays a smoke test, 8 shards.
@@ -78,6 +90,63 @@ def test_sharded_generate_and_compile_scaling(journal):
             f"{seconds:.2f}s ({world.n_following} + {world.n_tweeting} edges)"
         )
     assert _sharded_world(COLUMNAR_USERS).n_users == COLUMNAR_USERS
+
+
+#: ``(label, config)`` of the generator bench: the ``fit`` workload's
+#: paper-shaped world and the ``serve`` workload's sparse one, 4 shards.
+GENERATE_WORLDS = (
+    ("paper_900", SyntheticWorldConfig(n_users=900, seed=3)),
+    (
+        "sparse_3k",
+        SyntheticWorldConfig(
+            n_users=3000, seed=1, mean_friends=3.0, mean_venues=4.0
+        ),
+    ),
+)
+
+
+def _best_seconds(fn, repeats: int = 3):
+    """Best wall time of ``fn()`` over ``repeats`` calls, and its value."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, value
+
+
+def test_sharded_generate_vs_reference(journal):
+    """Sharded generation vs its per-draw reference: same arrays, faster."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from reference_generator import reference_sharded_arrays
+
+    gazetteer = builtin_gazetteer()
+    for label, config in GENERATE_WORLDS:
+        seconds, (_, following, tweeting) = _best_seconds(
+            lambda: _sharded_arrays(config, gazetteer, 4)
+        )
+        reference_seconds, (_, ref_following, ref_tweeting) = _best_seconds(
+            lambda: reference_sharded_arrays(config, gazetteer, 4)
+        )
+        for got, want in zip(following + tweeting, ref_following + ref_tweeting):
+            assert np.array_equal(got, want)
+        speedup = reference_seconds / seconds
+        journal(
+            "timing",
+            name="sharded_generate",
+            world=label,
+            users=config.n_users,
+            shards=4,
+            following=int(following[0].size),
+            tweeting=int(tweeting[0].size),
+            seconds=round(seconds, 4),
+            reference_seconds=round(reference_seconds, 4),
+            speedup=round(speedup, 2),
+        )
+        print(
+            f"[columnar] sharded generate {label}: {seconds:.3f}s vs "
+            f"per-draw {reference_seconds:.3f}s ({speedup:.1f}x)"
+        )
 
 
 def _legacy_arena_build(priors: UserPriors, n_loc: int):

@@ -182,14 +182,19 @@ def test_bench_fit_setup(journal):
     """Per-stage cost of a fit's set-up before the first sweep.
 
     Calibration (the Sec. 4.1 power-law fit), the sampler's initial
-    draw and the vectorized engine's assignment-slot map, each timed
-    on the 3k sparse world; calibration and initialization also against
-    their pair-by-pair / edge-by-edge reference forms in
-    ``tests/reference_setup.py``, which they match bit for bit.  The
-    floor guards the calibration speedup (measured ~20x).
+    draw, the vectorized engine's assignment-slot map and its sweep
+    layout, each timed on the 3k sparse world; calibration,
+    initialization and layout also against their pair-by-pair /
+    edge-by-edge reference forms in ``tests/reference_setup.py``, which
+    they match exactly.  The floor guards the calibration speedup
+    (measured ~20x).
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-    from reference_setup import reference_initial_fit, reference_initialize
+    from reference_setup import (
+        reference_initial_fit,
+        reference_initialize,
+        reference_layout,
+    )
 
     world = generate_columnar_world(SETUP_WORLD, shards=4)
     params = MLPParams(n_iterations=4, burn_in=1, seed=1, engine="vectorized")
@@ -218,13 +223,16 @@ def test_bench_fit_setup(journal):
         warm._rebuild_positions()
 
     positions_s = _best_seconds(positions)
+    layout_s = _best_seconds(warm._build_layout)
+    layout_reference_s = _best_seconds(lambda: reference_layout(warm))
     speedup = reference_s / calibrate_s
     print(
         f"\nfit set-up ({world.n_users} users): calibrate "
         f"{calibrate_s * 1e3:.1f} ms ({speedup:.1f}x over pairwise "
         f"{reference_s * 1e3:.1f} ms), initialize {initialize_s * 1e3:.1f} ms "
         f"(per-edge {init_reference_s * 1e3:.1f} ms), positions "
-        f"{positions_s * 1e3:.1f} ms"
+        f"{positions_s * 1e3:.1f} ms, layout {layout_s * 1e3:.1f} ms "
+        f"(per-edge {layout_reference_s * 1e3:.1f} ms)"
     )
     journal(
         "timing",
@@ -237,6 +245,8 @@ def test_bench_fit_setup(journal):
         initialize_seconds=initialize_s,
         initialize_reference_seconds=init_reference_s,
         positions_seconds=positions_s,
+        layout_seconds=layout_s,
+        layout_reference_seconds=layout_reference_s,
         speedup=round(speedup, 2),
     )
     assert speedup >= 5.0, f"calibration only {speedup:.1f}x over pairwise"

@@ -30,7 +30,10 @@ exactly reproducible.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -416,12 +419,24 @@ def _shard_rng(seed: int, phase: int, shard: int) -> np.random.Generator:
     )
 
 
-def _draw_from_cdf(
-    rng: np.random.Generator, cdf: np.ndarray, size: int
-) -> np.ndarray:
-    """Vectorized inverse-CDF categorical draws (unnormalized cdf)."""
-    u = rng.random(size) * cdf[-1]
-    return np.searchsorted(cdf, u, side="right").clip(0, cdf.size - 1)
+#: Uniforms are drawn from a shard's generator this many at a time.
+#: Only one block is alive at once, so the Python-side buffer stays
+#: bounded however large the shard is.
+_UNIFORM_BLOCK = 4096
+
+
+def _uniform_stream(rng: np.random.Generator):
+    """Return a callable yielding ``rng``'s uniforms one by one.
+
+    The doubles come from ``rng.random(_UNIFORM_BLOCK)`` blocks through
+    a cursor.  ``Generator.random(a)`` then ``random(b)`` produce the
+    same doubles as one ``random(a + b)`` and as ``a + b`` scalar
+    ``random()`` calls, so taking values one at a time from this stream
+    reproduces any sequence of per-draw ``random(n)`` calls exactly.
+    Values left in the last block are simply never read.
+    """
+    blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
+    return chain.from_iterable(blocks).__next__
 
 
 def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -458,6 +473,26 @@ class _ShardedArrays:
     instead of re-drawn (the object path retries up to 8 times), and
     the RNG streams are per ``(phase, shard)`` so a world is
     reproducible given ``(seed, shards)``.
+
+    The edge phases make no numpy call per draw.  After each shard's
+    degree draw, every uniform comes from :func:`_uniform_stream`, a
+    cursor over fixed-size ``rng.random(_UNIFORM_BLOCK)`` blocks, and
+    every categorical draw is ``min(bisect_right(cdf, u * cdf[-1]),
+    n - 1)`` in plain Python.  The per-location CDFs are cached as
+    ``array("d")`` copies of the numpy ``cumsum`` (compact doubles,
+    smaller than the numpy rows; Python lists of them would add ~15 MB
+    of peak memory), the user-sized ones are read through memoryviews
+    of their numpy arrays.  Either way items arrive as Python floats
+    with the same bits.  Worlds are bit-identical to per-draw
+    ``rng.random(n)`` + ``np.searchsorted(side="right")`` + ``.clip``
+    calls: consecutive ``random`` calls split a stream anywhere without
+    changing its doubles, ``bisect_right`` counts the same ``<=``
+    entries as ``searchsorted(side="right")``, the products and CDF
+    sums are the same IEEE-754 operations in the same order, and the
+    per-user consumption order is fixed (see :meth:`sample_following`
+    and :meth:`sample_tweeting`).  Reading past a shard's last draw is
+    harmless: each ``(phase, shard)`` generator is dropped after its
+    loop.  ``tests/reference_generator.py`` holds the per-draw form.
     """
 
     def __init__(
@@ -482,9 +517,9 @@ class _ShardedArrays:
             self.loc_venue, weights=pops, minlength=self.n_venues
         )
         self.venue_popularity = venue_popularity / venue_popularity.sum()
-        self.venue_pop_cdf = np.cumsum(self.venue_popularity)
-        self._psi_cdf_cache: dict[int, np.ndarray] = {}
-        self._friend_cdf_cache: dict[int, np.ndarray] = {}
+        self.venue_pop_cdf = array("d", np.cumsum(self.venue_popularity).tolist())
+        self._psi_cdf_cache: dict[int, array] = {}
+        self._friend_cdf_cache: dict[int, array] = {}
         bounds = [
             (s * config.n_users) // shards for s in range(shards + 1)
         ]
@@ -575,34 +610,63 @@ class _ShardedArrays:
             self.res_indptr[:-1][nonempty]
         ]
         self.res_base = base
-
-    def _theta_cdf(self, uid: int) -> np.ndarray:
-        return np.cumsum(
-            self.weight_flat_arr[self.loc_indptr[uid]:self.loc_indptr[uid + 1]]
-        )
+        # Views the edge phases read item by item (as Python numbers)
+        # for the per-user theta draws.
+        self._indptr_view = memoryview(self.loc_indptr)
+        self._loc_view = memoryview(self.loc_flat_arr)
+        self._weight_view = memoryview(self.weight_flat_arr)
 
     def _user_locs(self, uid: int) -> np.ndarray:
         return self.loc_flat_arr[self.loc_indptr[uid]:self.loc_indptr[uid + 1]]
 
-    def _friend_cdf(self, x: int) -> np.ndarray:
+    def _theta_draws(self, uid: int, count: int, uniform) -> list[int]:
+        """``count`` location draws from user ``uid``'s theta, in order.
+
+        The CDF is the running sum of the user's weights, the values
+        ``np.cumsum`` gives; the whole list is drawn before it returns.
+        """
+        a, b = self._indptr_view[uid], self._indptr_view[uid + 1]
+        cdf = list(accumulate(self._weight_view[a:b]))
+        total, last = cdf[-1], b - a - 1
+        locs = self._loc_view
+        return [
+            locs[a + min(bisect_right(cdf, uniform() * total), last)]
+            for _ in range(count)
+        ]
+
+    def _friend_cdf(self, x: int) -> array:
         cached = self._friend_cdf_cache.get(x)
         if cached is None:
             cfg = self.config
             d = np.maximum(self.distance[x], cfg.min_distance_miles)
-            cached = np.cumsum(self.mass * d**cfg.alpha)
+            cached = array("d", np.cumsum(self.mass * d**cfg.alpha).tolist())
             self._friend_cdf_cache[x] = cached
         return cached
 
     # -- phase 2: following edges ------------------------------------------
 
     def sample_following(self):
-        """Phase 2: draw following edges shard by shard."""
+        """Phase 2: draw following edges shard by shard.
+
+        Per user, the shard's uniforms go to: ``k`` noise flags, the
+        celebrity draws in edge order, the x draws of the remaining
+        edges, then per remaining edge one y draw plus a resident pick
+        when y has residents.
+        """
         cfg = self.config
         rng_celeb = _shard_rng(cfg.seed, 4, 0)
         ranks = rng_celeb.permutation(cfg.n_users) + 1
-        celeb_cdf = np.cumsum(
-            1.0 / ranks.astype(np.float64) ** cfg.celebrity_zipf
+        celeb = memoryview(
+            np.cumsum(1.0 / ranks.astype(np.float64) ** cfg.celebrity_zipf)
         )
+        celeb_total, celeb_last = celeb[-1], len(celeb) - 1
+        res_indptr = memoryview(self.res_indptr)
+        res_cdf = memoryview(self.res_cdf)
+        res_base = memoryview(self.res_base)
+        res_users = memoryview(self.res_users)
+        friend_cdf = self._friend_cdf
+        p_noise = cfg.noise_following
+        last_loc = self.n_loc - 1
         src_parts: list[np.ndarray] = []
         dst_parts: list[np.ndarray] = []
         x_parts: list[np.ndarray] = []
@@ -614,6 +678,7 @@ class _ShardedArrays:
             if m == 0:
                 continue
             degrees = np.maximum(1, rng.poisson(cfg.mean_friends, size=m))
+            uniform = _uniform_stream(rng)
             # Shard-sized int32 buffers (the out-degree total bounds the
             # edge count before dedup) instead of five tiny int64 arrays
             # per user -- the intermediate that used to dominate peak
@@ -625,55 +690,51 @@ class _ShardedArrays:
             y_buf = np.empty(cap, dtype=np.int32)
             noise_buf = np.empty(cap, dtype=np.bool_)
             write = 0
-            for local in range(m):
-                uid = lo + local
-                k = int(degrees[local])
-                is_noise = rng.random(k) < cfg.noise_following
-                friends = np.empty(k, dtype=np.int64)
-                xs = np.full(k, -1, dtype=np.int64)
-                ys = np.full(k, -1, dtype=np.int64)
-                n_noise = int(is_noise.sum())
-                if n_noise:
-                    friends[is_noise] = _draw_from_cdf(rng, celeb_cdf, n_noise)
-                rest = np.flatnonzero(~is_noise)
-                if rest.size:
-                    theta_cdf = self._theta_cdf(uid)
-                    locs = self._user_locs(uid)
-                    xs[rest] = locs[
-                        _draw_from_cdf(rng, theta_cdf, rest.size)
-                    ]
-                    for e in rest.tolist():
-                        x = int(xs[e])
-                        y = int(
-                            _draw_from_cdf(rng, self._friend_cdf(x), 1)[0]
-                        )
-                        s, t = self.res_indptr[y], self.res_indptr[y + 1]
+            for uid, k in enumerate(degrees.tolist(), lo):
+                noisy = [uniform() < p_noise for _ in range(k)]
+                # A location edge keeps ``uid`` as its friend when y has
+                # no resident: the self-follow filter below drops it
+                # (the object path retries instead).
+                friends = [
+                    min(bisect_right(celeb, uniform() * celeb_total), celeb_last)
+                    if flag
+                    else uid
+                    for flag in noisy
+                ]
+                xs = [-1] * k
+                ys = [-1] * k
+                rest = [e for e, flag in enumerate(noisy) if not flag]
+                if rest:
+                    # Every x is drawn before the first y.
+                    xdraws = self._theta_draws(uid, len(rest), uniform)
+                    for e, x in zip(rest, xdraws):
+                        xs[e] = x
+                        cdf = friend_cdf(x)
+                        y = min(bisect_right(cdf, uniform() * cdf[-1]), last_loc)
+                        s, t = res_indptr[y], res_indptr[y + 1]
                         if s == t:
-                            # no resident at y: drop (object path retries)
-                            friends[e] = uid
                             continue
                         # res_cdf carries the running global cumsum, so
                         # draw in (base, base + local_total] directly.
-                        u = self.res_base[y] + rng.random() * (
-                            self.res_cdf[t - 1] - self.res_base[y]
-                        )
-                        pick = int(
-                            np.searchsorted(self.res_cdf[s:t], u, side="right")
-                        )
-                        pick = min(pick, t - s - 1)
+                        base = res_base[y]
+                        u = base + uniform() * (res_cdf[t - 1] - base)
                         ys[e] = y
-                        friends[e] = self.res_users[s + pick]
+                        friends[e] = res_users[
+                            min(bisect_right(res_cdf, u, s, t), t - 1)
+                        ]
                 # Drop self-follows and duplicate pairs (keep first).
-                keep = friends != uid
-                fr = friends[keep]
-                _, first = np.unique(fr, return_index=True)
-                sel = np.flatnonzero(keep)[np.sort(first)]
-                end = write + sel.size
+                seen = {uid}
+                keep = []
+                for e, friend in enumerate(friends):
+                    if friend not in seen:
+                        seen.add(friend)
+                        keep.append(e)
+                end = write + len(keep)
                 src_buf[write:end] = uid
-                dst_buf[write:end] = friends[sel]
-                x_buf[write:end] = xs[sel]
-                y_buf[write:end] = ys[sel]
-                noise_buf[write:end] = is_noise[sel]
+                dst_buf[write:end] = [friends[e] for e in keep]
+                x_buf[write:end] = [xs[e] for e in keep]
+                y_buf[write:end] = [ys[e] for e in keep]
+                noise_buf[write:end] = [noisy[e] for e in keep]
                 write = end
             src_parts.append(src_buf[:write].copy())
             dst_parts.append(dst_buf[:write].copy())
@@ -690,7 +751,7 @@ class _ShardedArrays:
 
     # -- phase 3: venue mentions -------------------------------------------
 
-    def _psi_cdf(self, location_id: int) -> np.ndarray:
+    def _psi_cdf(self, location_id: int) -> array:
         cached = self._psi_cdf_cache.get(location_id)
         if cached is None:
             cfg = self.config
@@ -706,13 +767,23 @@ class _ShardedArrays:
                 (1.0 - cfg.venue_popularity_mix) * local
                 + cfg.venue_popularity_mix * self.venue_popularity
             )
-            cached = np.cumsum(psi / psi.sum())
+            cached = array("d", np.cumsum(psi / psi.sum()).tolist())
             self._psi_cdf_cache[location_id] = cached
         return cached
 
     def sample_tweeting(self):
-        """Phase 3: draw venue mentions shard by shard."""
+        """Phase 3: draw venue mentions shard by shard.
+
+        Per user, the shard's uniforms go to: ``k`` noise flags, the
+        venue-popularity draws in edge order, the z draws of the
+        remaining mentions, then one psi draw per remaining mention.
+        """
         cfg = self.config
+        pop_cdf = self.venue_pop_cdf
+        pop_total = pop_cdf[-1]
+        psi_cdf = self._psi_cdf
+        p_noise = cfg.noise_tweeting
+        last_venue = self.n_venues - 1
         user_parts: list[np.ndarray] = []
         venue_parts: list[np.ndarray] = []
         z_parts: list[np.ndarray] = []
@@ -723,6 +794,7 @@ class _ShardedArrays:
             if m == 0:
                 continue
             counts = np.maximum(1, rng.poisson(cfg.mean_venues, size=m))
+            uniform = _uniform_stream(rng)
             # Shard-sized int32 buffers; the mention total is exact (no
             # dedup in this phase), so the buffers fill completely.
             cap = int(counts.sum())
@@ -731,31 +803,30 @@ class _ShardedArrays:
             z_buf = np.empty(cap, dtype=np.int32)
             noise_buf = np.empty(cap, dtype=np.bool_)
             write = 0
-            for local in range(m):
-                uid = lo + local
-                k = int(counts[local])
-                is_noise = rng.random(k) < cfg.noise_tweeting
-                venues = np.empty(k, dtype=np.int64)
-                zs = np.full(k, -1, dtype=np.int64)
-                n_noise = int(is_noise.sum())
-                if n_noise:
-                    venues[is_noise] = _draw_from_cdf(
-                        rng, self.venue_pop_cdf, n_noise
-                    )
-                rest = np.flatnonzero(~is_noise)
-                if rest.size:
-                    theta_cdf = self._theta_cdf(uid)
-                    locs = self._user_locs(uid)
-                    zs[rest] = locs[_draw_from_cdf(rng, theta_cdf, rest.size)]
-                    for e in rest.tolist():
-                        venues[e] = _draw_from_cdf(
-                            rng, self._psi_cdf(int(zs[e])), 1
-                        )[0]
+            for uid, k in enumerate(counts.tolist(), lo):
+                noisy = [uniform() < p_noise for _ in range(k)]
+                venues = [
+                    min(bisect_right(pop_cdf, uniform() * pop_total), last_venue)
+                    if flag
+                    else -1
+                    for flag in noisy
+                ]
+                zs = [-1] * k
+                rest = [e for e, flag in enumerate(noisy) if not flag]
+                if rest:
+                    # Every z is drawn before the first psi draw.
+                    zdraws = self._theta_draws(uid, len(rest), uniform)
+                    for e, z in zip(rest, zdraws):
+                        zs[e] = z
+                        cdf = psi_cdf(z)
+                        venues[e] = min(
+                            bisect_right(cdf, uniform() * cdf[-1]), last_venue
+                        )
                 end = write + k
                 user_buf[write:end] = uid
                 venue_buf[write:end] = venues
                 z_buf[write:end] = zs
-                noise_buf[write:end] = is_noise
+                noise_buf[write:end] = noisy
                 write = end
             user_parts.append(user_buf)
             venue_parts.append(venue_buf)

@@ -87,17 +87,24 @@ class VectorizedGibbsSampler(GibbsSampler):
     # -- layout ----------------------------------------------------------
 
     def _build_layout(self) -> None:
-        """Static per-edge geometry: views, indices, scratch buffers.
+        """Static sweep geometry, built per user and per shape.
 
         The arena skeleton (slot offsets, gather indices, flat gamma)
         is the shared :meth:`~repro.core.priors.UserPriors.packed`
         layout: built once per priors instance and reused by every
         chain of a pool instead of being reconstructed per fit.
+
+        Everything an edge's sweep tuple refers to depends either on
+        its users (arena row and column views, candidate lists, slot
+        offsets, gamma sums) or on its candidate-set shape (the scratch
+        views and their bound ``searchsorted``/``item``), so each is
+        built once and shared; an edge tuple only points at them.  The
+        tweeting ``tl_idx`` rows are views into one ragged gather.
+        ``tests/reference_setup.py::reference_layout`` is the per-edge
+        form the tuples must match.
         """
         priors = self.priors
         cands = priors.candidates
-        gamma_sum = priors.gamma_sum
-        n_users = self.world.n_users
         n_loc = self.state.user_counts.phi.shape[1]
         n_ven = self.world.n_venues
         self._n_loc = n_loc
@@ -114,82 +121,109 @@ class VectorizedGibbsSampler(GibbsSampler):
         self._gamma_vals = pack.gamma_list
         self._raw_counts: list[float] = []
         offsets = pack.offsets.tolist()
-        arena_views = [
-            self._cand_arena[offsets[u]:offsets[u + 1]]
-            for u in range(n_users)
+        sizes = np.diff(pack.offsets)
+        size_of = sizes.tolist()
+        rows = [
+            self._cand_arena[a:b] for a, b in zip(offsets, offsets[1:])
         ]
+        cols = [row.reshape(row.size, 1) for row in rows]
+        cand_lists = [c.tolist() for c in cands]
+        gamma_sum = priors.gamma_sum.tolist()
 
-        cmax = max((c.size for c in cands), default=0)
-        pair_max = 0
-        for i, j in zip(self._followers, self._friends):
-            pair_max = max(pair_max, cands[int(i)].size * cands[int(j)].size)
-        joint_buf = np.empty(pair_max)
+        cmax = max(size_of, default=0)
+        pair_sizes = sizes[self._followers] * sizes[self._friends]
+        joint_buf = np.empty(int(pair_sizes.max()) if pair_sizes.size else 0)
         w_buf = np.empty(max(cmax, 1))
         nd_buf = np.empty(2 * max(cmax, 1))
 
-        self._f_edges = []
-        for s in range(len(self._followers)):
-            i = int(self._followers[s])
-            j = int(self._friends[s])
-            ni = cands[i].size
-            nj = cands[j].size
-            npair = ni * nj
-            self._f_edges.append((
-                i,
-                j,
-                arena_views[i].reshape(ni, 1),
-                arena_views[j],
-                joint_buf[:npair].reshape(ni, nj),
-                joint_buf[:npair],
-                joint_buf[:npair].searchsorted,
-                joint_buf[:npair].item,
-                float(gamma_sum[i]),
-                float(gamma_sum[j]),
-                offsets[i],
-                offsets[j],
-                cands[i].tolist(),
-                cands[j].tolist(),
-                nj,
-                npair,
+        pair_views: dict[tuple[int, int], tuple] = {}
+        self._f_edges = f_edges = []
+        for i, j in zip(self._followers.tolist(), self._friends.tolist()):
+            ni = size_of[i]
+            nj = size_of[j]
+            views = pair_views.get((ni, nj))
+            if views is None:
+                npair = ni * nj
+                jflat = joint_buf[:npair]
+                views = pair_views[ni, nj] = (
+                    jflat.reshape(ni, nj),
+                    jflat,
+                    jflat.searchsorted,
+                    jflat.item,
+                    nj,
+                    npair,
+                )
+            joint, jflat, cum_search, cum_item, nj, npair = views
+            f_edges.append((
+                i, j, cols[i], rows[j], joint, jflat, cum_search, cum_item,
+                gamma_sum[i], gamma_sum[j], offsets[i], offsets[j],
+                cand_lists[i], cand_lists[j], nj, npair,
             ))
 
-        dvec_by_size: dict[int, np.ndarray] = {}
         delta = self.tweeting_model.delta
         delta_sum = delta * n_ven
         tl_total_base = n_loc * n_ven  # totals live after phi in the arena
         rho_t = self.params.rho_t
-        tr_probs = self.random_tweeting.venue_probabilities
-        self._t_edges = []
-        for k in range(len(self._tw_users)):
-            i = int(self._tw_users[k])
-            v = int(self._tw_venues[k])
-            ci = cands[i]
-            n = ci.size
-            if n not in dvec_by_size:
+        p_noise = [
+            rho_t * p for p in self.random_tweeting.venue_probabilities.tolist()
+        ]
+        tl_rows = self._tweet_index_rows(pack, sizes, tl_total_base)
+        size_views: dict[int, tuple] = {}
+        self._t_edges = t_edges = []
+        for i, v, tl_idx in zip(
+            self._tw_users.tolist(), self._tw_venues.tolist(), tl_rows
+        ):
+            n = size_of[i]
+            views = size_views.get(n)
+            if views is None:
                 dvec = np.empty(2 * n)
                 dvec[:n] = delta
                 dvec[n:] = delta_sum
-                dvec_by_size[n] = dvec
-            tl_idx = np.concatenate([ci * n_ven + v, tl_total_base + ci])
-            self._t_edges.append((
-                i,
-                v,
-                arena_views[i],
-                w_buf[:n],
-                nd_buf[:2 * n],
-                nd_buf[:n],
-                nd_buf[n:2 * n],
-                dvec_by_size[n],
-                tl_idx,
-                w_buf[:n].searchsorted,
-                w_buf[:n].item,
-                float(gamma_sum[i]),
-                rho_t * float(tr_probs[v]),
-                offsets[i],
-                ci.tolist(),
-                n,
+                w = w_buf[:n]
+                views = size_views[n] = (
+                    w,
+                    nd_buf[:2 * n],
+                    nd_buf[:n],
+                    nd_buf[n:2 * n],
+                    dvec,
+                    w.searchsorted,
+                    w.item,
+                )
+            w, nd, nd_num, nd_den, dvec, cum_search, cum_item = views
+            t_edges.append((
+                i, v, rows[i], w, nd, nd_num, nd_den, dvec, tl_idx,
+                cum_search, cum_item, gamma_sum[i], p_noise[v], offsets[i],
+                cand_lists[i], n,
             ))
         self._layout_ready = True
+
+    def _tweet_index_rows(self, pack, sizes, tl_total_base) -> list:
+        """Each mention's ``tl_idx``, as a view into one ragged gather.
+
+        Row ``k`` is ``cand * n_ven + v_k`` followed by ``tl_total_base
+        + cand`` over its user's candidates ``cand``: the flat TL-arena
+        cells of the Eq. 9 numerators, then of their row totals.
+        """
+        users = self._tw_users
+        # Two segments per mention (numerators, then totals), each one
+        # pass over the user's candidate slots in the packed arena.
+        seg_len = np.repeat(sizes[users], 2)
+        seg_end = np.cumsum(seg_len)
+        slot = np.arange(int(seg_end[-1]) if seg_end.size else 0, dtype=np.int64)
+        slot += np.repeat(
+            np.repeat(pack.offsets[users], 2) - seg_end + seg_len, seg_len
+        )
+        flat = pack.flat_candidates[slot]
+        del slot
+        flat *= np.repeat(np.tile([self._n_ven, 1], users.size), seg_len)
+        flat += np.repeat(
+            np.column_stack(
+                [self._tw_venues, np.full(users.size, tl_total_base)]
+            ).ravel(),
+            seg_len,
+        )
+        bounds = [0] + seg_end[1::2].tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def _build_kernels(self) -> None:
         """Per-edge Eq. 1 tables for the current law (law-dependent)."""

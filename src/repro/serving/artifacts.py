@@ -52,13 +52,16 @@ from repro.mathx.powerlaw import PowerLaw
 
 #: Artifact format version written by this build; bump on any layout
 #: change.  Version 2 added the persisted columnar world
-#: (``world_*`` arrays + ``world_hash`` metadata).
-ARTIFACT_VERSION = 2
+#: (``world_*`` arrays + ``world_hash`` metadata); version 3 stores the
+#: dataset payload as UTF-8 bytes (a ``uint8`` array) instead of a
+#: NumPy unicode scalar, which is UCS-4: four times the bytes for zlib
+#: to compress.
+ARTIFACT_VERSION = 3
 
 #: Versions this build can read.  Version-1 artifacts (no persisted
 #: world) load fine -- the world is recompiled from the dataset on
 #: first use.
-SUPPORTED_ARTIFACT_VERSIONS = (1, 2)
+SUPPORTED_ARTIFACT_VERSIONS = (1, 2, 3)
 
 #: Conventional artifact file suffix (not enforced).
 ARTIFACT_SUFFIX = ".mlp.npz"
@@ -380,7 +383,9 @@ def save_result(result: MLPResult, path: str | Path) -> str:
         np.savez_compressed(
             fh,
             meta=np.array(json.dumps(meta)),
-            dataset_json=np.array(dataset_json),
+            dataset_json=np.frombuffer(
+                dataset_json.encode("utf-8"), dtype=np.uint8
+            ),
             **arrays,
         )
     return artifact_id
@@ -413,6 +418,15 @@ def _open_artifact(path: str | Path):
     return meta, data
 
 
+def _dataset_text(data) -> str:
+    """The embedded dataset's JSON text: UTF-8 bytes (version 3) or a
+    unicode scalar (versions 1 and 2)."""
+    payload = data["dataset_json"]
+    if payload.dtype == np.uint8:
+        return payload.tobytes().decode("utf-8")
+    return str(payload[()])
+
+
 def artifact_metadata(path: str | Path) -> dict:
     """Read an artifact's metadata (id, params, sizes) without arrays."""
     meta, data = _open_artifact(path)
@@ -424,7 +438,7 @@ def load_result(path: str | Path) -> MLPResult:
     """Load an artifact back into a bit-identical :class:`MLPResult`."""
     meta, data = _open_artifact(path)
     try:
-        dataset = dataset_from_payload(json.loads(str(data["dataset_json"][()])))
+        dataset = dataset_from_payload(json.loads(_dataset_text(data)))
         if meta.get("world_hash") is not None:
             # Re-attach the persisted columnar world: consumers (fold-in,
             # evaluation) then share the saved index with zero re-indexing.

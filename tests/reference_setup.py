@@ -194,3 +194,95 @@ def edgeless_world(base):
     return ColumnarWorld.from_edge_arrays(
         world.gazetteer, world.observed_location, empty, empty, empty, empty
     )
+
+
+def reference_layout(sampler):
+    """The vectorized engine's sweep tuples, built edge by edge.
+
+    Returns ``(f_edges, t_edges)`` in the engine's tuple layout, with
+    the arena views taken from ``sampler._cand_arena`` (so call it
+    after the sampler has built its own layout) and fresh scratch
+    buffers: one view, list and index array per edge.
+    """
+    priors = sampler.priors
+    cands = priors.candidates
+    gamma_sum = priors.gamma_sum
+    n_users = sampler.world.n_users
+    n_loc = sampler.state.user_counts.phi.shape[1]
+    n_ven = sampler.world.n_venues
+    offsets = priors.packed().offsets.tolist()
+    arena_views = [
+        sampler._cand_arena[offsets[u]:offsets[u + 1]] for u in range(n_users)
+    ]
+
+    cmax = max((c.size for c in cands), default=0)
+    pair_max = 0
+    for i, j in zip(sampler._followers, sampler._friends):
+        pair_max = max(pair_max, cands[int(i)].size * cands[int(j)].size)
+    joint_buf = np.empty(pair_max)
+    w_buf = np.empty(max(cmax, 1))
+    nd_buf = np.empty(2 * max(cmax, 1))
+
+    f_edges = []
+    for s in range(len(sampler._followers)):
+        i = int(sampler._followers[s])
+        j = int(sampler._friends[s])
+        ni = cands[i].size
+        nj = cands[j].size
+        npair = ni * nj
+        f_edges.append((
+            i,
+            j,
+            arena_views[i].reshape(ni, 1),
+            arena_views[j],
+            joint_buf[:npair].reshape(ni, nj),
+            joint_buf[:npair],
+            joint_buf[:npair].searchsorted,
+            joint_buf[:npair].item,
+            float(gamma_sum[i]),
+            float(gamma_sum[j]),
+            offsets[i],
+            offsets[j],
+            cands[i].tolist(),
+            cands[j].tolist(),
+            nj,
+            npair,
+        ))
+
+    dvec_by_size: dict[int, np.ndarray] = {}
+    delta = sampler.tweeting_model.delta
+    delta_sum = delta * n_ven
+    tl_total_base = n_loc * n_ven
+    rho_t = sampler.params.rho_t
+    tr_probs = sampler.random_tweeting.venue_probabilities
+    t_edges = []
+    for k in range(len(sampler._tw_users)):
+        i = int(sampler._tw_users[k])
+        v = int(sampler._tw_venues[k])
+        ci = cands[i]
+        n = ci.size
+        if n not in dvec_by_size:
+            dvec = np.empty(2 * n)
+            dvec[:n] = delta
+            dvec[n:] = delta_sum
+            dvec_by_size[n] = dvec
+        tl_idx = np.concatenate([ci * n_ven + v, tl_total_base + ci])
+        t_edges.append((
+            i,
+            v,
+            arena_views[i],
+            w_buf[:n],
+            nd_buf[:2 * n],
+            nd_buf[:n],
+            nd_buf[n:2 * n],
+            dvec_by_size[n],
+            tl_idx,
+            w_buf[:n].searchsorted,
+            w_buf[:n].item,
+            float(gamma_sum[i]),
+            rho_t * float(tr_probs[v]),
+            offsets[i],
+            ci.tolist(),
+            n,
+        ))
+    return f_edges, t_edges

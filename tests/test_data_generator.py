@@ -267,3 +267,107 @@ class TestShardedGenerator:
             shards=2,
         )
         assert len(ds.tweets) == ds.n_tweeting
+
+
+#: Sharded-generator configurations checked against the per-draw oracle
+#: (``tests/reference_generator.py``): ``(config, shards)``.
+ORACLE_CASES = {
+    "paper_900": (SyntheticWorldConfig(n_users=900, seed=3), 4),
+    "sparse_3k": (
+        SyntheticWorldConfig(
+            n_users=3000, seed=1, mean_friends=3.0, mean_venues=4.0
+        ),
+        4,
+    ),
+    "no_noise": (
+        SyntheticWorldConfig(
+            n_users=200, seed=5, noise_following=0.0, noise_tweeting=0.0
+        ),
+        3,
+    ),
+    # The largest allowed noise weight (validation rejects 1.0): every
+    # relationship takes the noise branch.
+    "all_noise": (
+        SyntheticWorldConfig(
+            n_users=200,
+            seed=5,
+            noise_following=float(np.nextafter(1.0, 0.0)),
+            noise_tweeting=float(np.nextafter(1.0, 0.0)),
+        ),
+        3,
+    ),
+    "empty_shards": (SyntheticWorldConfig(n_users=5, seed=2), 8),
+    # Every distance kernel underflows to zero, so each y draw lands on
+    # the last location, which no user of this world lives at: every
+    # location edge takes the drop branch.
+    "no_residents": (
+        SyntheticWorldConfig(
+            n_users=4, seed=6, alpha=-2000.0, min_distance_miles=2.0
+        ),
+        2,
+    ),
+    "render_tweets": (
+        SyntheticWorldConfig(n_users=120, seed=4, render_tweets=True),
+        2,
+    ),
+}
+
+
+class TestShardedMatchesReference:
+    """Block-drawn uniforms + Python CDF lookups == per-draw numpy calls."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_arrays_match_reference(self, case, gazetteer):
+        from reference_generator import (
+            reference_columnar_world,
+            reference_sharded_arrays,
+        )
+
+        from repro.data.generator import _sharded_arrays, generate_columnar_world
+
+        config, shards = ORACLE_CASES[case]
+        builder, following, tweeting = _sharded_arrays(config, gazetteer, shards)
+        _, ref_following, ref_tweeting = reference_sharded_arrays(
+            config, gazetteer, shards
+        )
+        for got, want in zip(following + tweeting, ref_following + ref_tweeting):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+        world = generate_columnar_world(config, gazetteer, shards=shards)
+        ref_world = reference_columnar_world(config, gazetteer, shards)
+        arrays, ref_arrays = world.to_arrays(), ref_world.to_arrays()
+        assert arrays.keys() == ref_arrays.keys()
+        for key in arrays:
+            assert np.array_equal(arrays[key], ref_arrays[key]), key
+
+        dataset = generate_world(config, gazetteer, shards=shards)
+        assert [e.friend for e in dataset.following] == following[1].tolist()
+        assert [e.venue_id for e in dataset.tweeting] == tweeting[1].tolist()
+        assert len(dataset.tweets) == (
+            len(dataset.tweeting) if config.render_tweets else 0
+        )
+        if case == "no_residents":
+            assert builder.res_indptr[-1] == builder.res_indptr[-2]
+            assert following[4].size and following[4].all()  # noise only
+        if case == "empty_shards":
+            assert any(lo == hi for lo, hi in builder.shard_bounds)
+
+    def test_uniform_stream_is_the_scalar_stream(self):
+        """Values cross block boundaries unchanged; one block at a time."""
+        from repro.data.generator import _UNIFORM_BLOCK, _uniform_stream
+
+        n = _UNIFORM_BLOCK + 3
+        stream = _uniform_stream(np.random.default_rng(11))
+        scalar = np.random.default_rng(11)
+        assert [stream() for _ in range(n)] == [
+            scalar.random() for _ in range(n)
+        ]
+        # The stream has drawn exactly two blocks from its generator.
+        rng = np.random.default_rng(11)
+        stream = _uniform_stream(rng)
+        for _ in range(n):
+            stream()
+        after = np.random.default_rng(11)
+        after.random(2 * _UNIFORM_BLOCK)
+        assert rng.random() == after.random()

@@ -178,3 +178,71 @@ class TestFactory:
     def test_params_reject_bad_chains(self):
         with pytest.raises(ValueError):
             MLPParams(n_chains=0)
+
+
+def _view_key(arr: np.ndarray, roots: dict) -> tuple:
+    """Where a view points: its buffer (by first use), offset and shape."""
+    root = arr.base if arr.base is not None else arr
+    label = roots.setdefault(id(root), (len(roots), root))[0]
+    offset = (
+        arr.__array_interface__["data"][0]
+        - root.__array_interface__["data"][0]
+    )
+    return (label, offset, arr.shape, arr.strides, arr.dtype.str)
+
+
+def _layout_signature(edges, arena, data_positions) -> list:
+    """Each tuple entry by value, or by where it points for views."""
+    roots = {id(arena): ("arena", arena)}
+    signature = []
+    for entry in edges:
+        items = []
+        for pos, item in enumerate(entry):
+            if pos in data_positions:
+                items.append((item.dtype.str, item.shape, item.tolist()))
+            elif isinstance(item, np.ndarray):
+                items.append(_view_key(item, roots))
+            elif callable(item):
+                items.append((item.__name__, _view_key(item.__self__, roots)))
+            else:
+                items.append((type(item), item))
+        signature.append(tuple(items))
+    return signature
+
+
+class TestLayoutMatchesReference:
+    """The per-user/per-shape layout == the per-edge reference layout."""
+
+    @pytest.mark.parametrize("shape", ["generated", "irregular", "edgeless"])
+    def test_layout_matches_per_edge_builder(self, small_world, shape):
+        from reference_setup import (
+            edgeless_world,
+            irregular_world,
+            reference_layout,
+        )
+
+        world = {
+            "generated": lambda w: w,
+            "irregular": irregular_world,
+            "edgeless": edgeless_world,
+        }[shape](small_world)
+        sampler = VectorizedGibbsSampler(
+            world, MLPParams(n_iterations=3, burn_in=1, seed=7)
+        )
+        sampler.initialize()
+        sampler._ensure_layout()
+        f_ref, t_ref = reference_layout(sampler)
+        arena = sampler._cand_arena
+        assert len(sampler._f_edges) == len(f_ref)
+        assert len(sampler._t_edges) == len(t_ref)
+        assert (len(f_ref) > 0) == (len(t_ref) > 0) == (shape != "edgeless")
+        assert _layout_signature(
+            sampler._f_edges, arena, ()
+        ) == _layout_signature(f_ref, arena, ())
+        # dvec (7) and tl_idx (8) are data: compared by value.
+        assert _layout_signature(
+            sampler._t_edges, arena, (7, 8)
+        ) == _layout_signature(t_ref, arena, (7, 8))
+        # Per-user objects are shared, not rebuilt per edge.
+        cand_lists = {id(edge[12]) for edge in sampler._f_edges}
+        assert len(cand_lists) == np.unique(sampler._followers).size

@@ -46,6 +46,32 @@ def pooled_result(world):
     return MLPModel(_params(engine="vectorized", n_chains=2)).fit(world)
 
 
+def _rewrite_legacy(path, dest, version):
+    """Rewrite a saved artifact the way format ``version`` stored it.
+
+    Versions 1 and 2 kept the dataset payload as a NumPy unicode
+    scalar; version 1 also had no persisted world.
+    """
+    with np.load(path) as data:
+        payload = {name: data[name] for name in data.files}
+    payload["dataset_json"] = np.array(
+        payload["dataset_json"].tobytes().decode("utf-8")
+    )
+    meta = json.loads(str(payload["meta"][()]))
+    meta["format_version"] = version
+    if version == 1:
+        del meta["world_hash"]
+        payload = {
+            name: arr
+            for name, arr in payload.items()
+            if not name.startswith("world_")
+        }
+    payload["meta"] = np.array(json.dumps(meta))
+    with open(dest, "wb") as fh:
+        np.savez_compressed(fh, **payload)
+    return dest
+
+
 def _assert_round_trip(result, loaded):
     assert loaded.params == result.params
     assert loaded.profiles == result.profiles
@@ -270,23 +296,34 @@ class TestWorldPersistence:
 
         path = tmp_path / "w.mlp.npz"
         save_result(loop_result, path)
-        with np.load(path) as data:
-            payload = {
-                name: data[name]
-                for name in data.files
-                if not name.startswith("world_")
-            }
-        meta = json.loads(str(payload["meta"][()]))
-        meta["format_version"] = 1
-        del meta["world_hash"]
-        payload["meta"] = np.array(json.dumps(meta))
-        legacy = tmp_path / "legacy.mlp.npz"
-        with open(legacy, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+        legacy = _rewrite_legacy(path, tmp_path / "legacy.mlp.npz", version=1)
         loaded = load_result(legacy)
         before = columnar.compile_count()
         columnar.compile_world(loaded.dataset)  # no persisted world: compile
         assert columnar.compile_count() == before + 1
+
+    @pytest.mark.parametrize("fixture", ["loop_result", "pooled_result"])
+    def test_version2_artifact_loads_bit_identically(
+        self, fixture, request, tmp_path
+    ):
+        """Back-compat: a unicode dataset payload loads exactly as UTF-8."""
+        from repro.data.columnar import compile_world
+
+        result = request.getfixturevalue(fixture)
+        path = tmp_path / "v3.mlp.npz"
+        artifact_id = save_result(result, path)
+        with np.load(path) as data:
+            assert data["dataset_json"].dtype == np.uint8
+        legacy = _rewrite_legacy(path, tmp_path / "v2.mlp.npz", version=2)
+        with np.load(legacy) as data:
+            assert data["dataset_json"].dtype.kind == "U"
+        assert artifact_metadata(legacy)["artifact_id"] == artifact_id
+        old, new = load_result(legacy), load_result(path)
+        _assert_round_trip(result, old)
+        _assert_round_trip(new, old)
+        assert compile_world(old.dataset).content_hash == (
+            compile_world(new.dataset).content_hash
+        )
 
     def test_materialized_dataset_is_collectable(self):
         """to_dataset must not pin the world/dataset pair in the memo."""
