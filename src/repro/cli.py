@@ -990,8 +990,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             # means zero affected users, which is an *empty* JSONL, not
             # a silently missing one.  On a journaled run the window
             # starts at the *recovered* generation -- only this
-            # invocation's deltas are re-scored -- and the journal
-            # answers the touched window even past DELTA_LOG_LIMIT.
+            # invocation's deltas are re-scored.
             if applied:
                 from repro.data.delta import StaleWindowError
 
@@ -1001,18 +1000,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                         predictor.result,
                         predictor=predictor,
                         since_generation=boot_generation,
-                        journal=journal,
                     )
                 except StaleWindowError as exc:
-                    # A stream longer than the retained log (or a
-                    # window behind the last compaction): the touched
-                    # set is gone, so re-score the whole unlabeled
-                    # population instead of failing after a successful
-                    # ingest -- but say so, loudly: a silent fallback
-                    # turns "re-scored the delta" into "re-scored the
-                    # world" without anyone noticing the cost or the
-                    # cause (docs/API.md, "Incremental re-scoring
-                    # window").
+                    # A stream longer than the retained log: the
+                    # touched set is gone, so re-score the whole
+                    # unlabeled population instead of failing after a
+                    # successful ingest -- but say so, loudly: a silent
+                    # fallback turns "re-scored the delta" into
+                    # "re-scored the world" without anyone noticing the
+                    # cost or the cause (docs/API.md, "Incremental
+                    # re-scoring window").
                     print(
                         "warning: incremental re-score window lost "
                         f"({exc}); falling back to a FULL re-score of "

@@ -67,13 +67,13 @@ __all__ = [
 class StaleWindowError(ValueError):
     """``since_generation`` reaches past the retained touched-user window.
 
-    Raised by :func:`touched_since` (in-memory ``delta_log``, bounded by
-    :data:`DELTA_LOG_LIMIT`) and by
-    :meth:`repro.data.journal.DeltaJournal.touched_since` (durable, bounded
-    by the last compaction) when the requested window is no longer fully
-    covered.  The only correct recovery is a **full re-score** of the
-    unlabeled population; callers that fall back must do so *loudly*
-    (``repro ingest`` warns on stderr, the query layer counts the event in
+    Raised by :func:`touched_since` when the requested window is no
+    longer covered by the world's ``delta_log``: it retains the last
+    :data:`DELTA_LOG_LIMIT` generations, and a world recovered from a
+    journal snapshot starts its log at that snapshot.  The only correct
+    recovery is a **full re-score** of the unlabeled population;
+    callers that fall back must do so *loudly* (``repro ingest`` warns
+    on stderr, the query layer counts the event in
     ``repro_query_index_refreshes_total{kind="full_fallback"}``) -- see
     docs/API.md ("Incremental re-scoring window").  Subclasses
     ``ValueError`` so pre-existing broad handlers keep working.

@@ -41,17 +41,6 @@ because truncation would destroy data that is still recoverable
 elsewhere: a journal whose first record does not chain from any
 available state (missing/foreign snapshot) and a file without the
 magic header both raise :class:`JournalError`.
-
-**The authoritative touched log.**  The in-memory
-``world.delta_log`` retains only ``DELTA_LOG_LIMIT`` records, so
-``touched_since`` windows older than that fail loudly.  The journal
-keeps a touched-user index for every generation since its last
-snapshot (populated by :func:`append_and_apply` /
-:func:`journaled_ingest` on the write path and by replay on recovery),
-so :meth:`DeltaJournal.touched_since` answers from the durable log --
-``score_population(..., journal=...)`` re-scores exactly the affected
-users no matter how far behind the caller fell, up to the last
-compaction point.
 """
 
 from __future__ import annotations
@@ -305,10 +294,9 @@ class DeltaJournal:
         self._n_records = 0
         self._generation = 0
         self._last_hash: str | None = None
-        self._floor_generation = 0
+        self._snapshot_generation = 0
         self._pending_sync = 0
         self._last_sync: float | None = None
-        self._touched: dict[int, np.ndarray] = {}
         if not self.path.exists():
             if not create:
                 raise JournalError(f"no journal at {self.path}")
@@ -326,16 +314,6 @@ class DeltaJournal:
         """Generation of the last appended (or recovered) record."""
         return self._generation
 
-    @property
-    def floor_generation(self) -> int:
-        """Oldest generation the touched-user index covers (exclusive).
-
-        Windows reaching past it (``touched_since(g)`` with
-        ``g < floor``) require a full re-score -- the records behind
-        the last snapshot were compacted away.
-        """
-        return self._floor_generation
-
     def stats(self) -> dict:
         """Journal observability for ``/healthz`` and the CLI."""
         with self.lock:
@@ -347,7 +325,7 @@ class DeltaJournal:
                 "path": str(self.path),
                 "records": self._n_records,
                 "generation": self._generation,
-                "snapshot_generation": self._floor_generation,
+                "snapshot_generation": self._snapshot_generation,
                 "bytes": nbytes,
                 "fsync_every": self.fsync_every,
                 "pending_fsync": self._pending_sync,
@@ -412,6 +390,23 @@ class DeltaJournal:
                 end=start + len(encoded),
             )
 
+    def write_ahead(self, world: ColumnarWorld, delta: WorldDelta) -> None:
+        """Validate ``delta`` against ``world`` and append it as the
+        world's next generation; the caller applies it *after*.
+
+        The delta is validated *first*: an invalid delta must never
+        reach the journal, or replay would halt on it forever.  Hold
+        :attr:`lock` across this call and the apply so no other append
+        lands between them.
+        """
+        with self.lock:
+            validate_delta(world, delta)
+            self.append(
+                delta,
+                world.generation + 1,
+                chain_hash(world.content_hash, delta.digest()),
+            )
+
     def sync(self) -> None:
         """Force an fsync of any appends still in the batching window."""
         with self.lock:
@@ -431,51 +426,6 @@ class DeltaJournal:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
-
-    # -- touched-user index ------------------------------------------------
-
-    def note_touched(self, generation: int, touched_users: np.ndarray) -> None:
-        """Record the touched-user set of one applied generation."""
-        with self.lock:
-            self._touched[int(generation)] = np.asarray(
-                touched_users, dtype=np.int64
-            )
-
-    def touched_since(self, since_generation: int) -> np.ndarray:
-        """Sorted unique users touched by generations > ``since_generation``.
-
-        The durable counterpart of
-        :func:`repro.data.delta.touched_since`: answers from the
-        journal's index, which covers every generation since the last
-        snapshot -- far past the in-memory ``DELTA_LOG_LIMIT`` window.
-        Raises :class:`repro.data.delta.StaleWindowError` only when the
-        window reaches behind the last compaction point (or a recovered
-        journal has no touched index for a requested generation); the
-        recovery in both cases is a full re-score.
-        """
-        from repro.data.delta import StaleWindowError
-
-        with self.lock:
-            since_generation = max(0, int(since_generation))
-            if since_generation >= self._generation:
-                return np.empty(0, dtype=np.int64)
-            if since_generation < self._floor_generation:
-                raise StaleWindowError(
-                    f"journal covers generations "
-                    f"{self._floor_generation + 1}..{self._generation}; "
-                    f"since_generation={since_generation} reaches behind "
-                    "the last snapshot -- run a full re-score"
-                )
-            parts = []
-            for gen in range(since_generation + 1, self._generation + 1):
-                arr = self._touched.get(gen)
-                if arr is None:
-                    raise StaleWindowError(
-                        f"journal has no touched-user index for "
-                        f"generation {gen} -- run a full re-score"
-                    )
-                parts.append(arr)
-            return np.unique(np.concatenate(parts))
 
     # -- snapshots ---------------------------------------------------------
 
@@ -557,8 +507,7 @@ class DeltaJournal:
             fsync_dir(self.directory)
             self._n_records = 0
             self._pending_sync = 0
-            self._floor_generation = world.generation
-            self._touched.clear()
+            self._snapshot_generation = world.generation
             pruned = []
             for stale in self.snapshot_paths()[SNAPSHOTS_KEPT:]:
                 stale.unlink()
@@ -707,9 +656,6 @@ class DeltaJournal:
                     dropped += 1
                     continue
                 world = apply_delta(world, delta)
-                self._touched[world.generation] = world.delta_log[
-                    -1
-                ].touched_users
                 replayed += 1
             if drop_from is not None:
                 with open(self.path, "r+b") as fh:
@@ -719,7 +665,7 @@ class DeltaJournal:
             self._n_records = replayed + skipped
             self._generation = world.generation
             self._last_hash = world.content_hash
-            self._floor_generation = state.generation
+            self._snapshot_generation = state.generation
             report = {
                 "generation": world.generation,
                 "world_hash": world.content_hash,
@@ -765,27 +711,18 @@ def open_journal(
 def append_and_apply(
     journal: DeltaJournal, world: ColumnarWorld, delta: WorldDelta
 ) -> ColumnarWorld:
-    """Durable apply at the data level: validate, append, apply, index.
+    """Durable apply at the data level: write ahead, then apply.
 
     Write-ahead ordering -- the record is on disk before the apply, so
-    a crash between the two replays to the exact same world.  The
-    delta is validated *first*: an invalid delta must never reach the
-    journal, or replay would halt on it forever.
+    a crash between the two replays to the exact same world.
     """
     with journal.lock:
-        validate_delta(world, delta)
-        generation = world.generation + 1
-        world_hash = chain_hash(world.content_hash, delta.digest())
-        journal.append(delta, generation, world_hash)
-        new_world = apply_delta(world, delta)
-        journal.note_touched(
-            generation, new_world.delta_log[-1].touched_users
-        )
-        return new_world
+        journal.write_ahead(world, delta)
+        return apply_delta(world, delta)
 
 
 def journaled_ingest(predictor, journal: DeltaJournal, delta: WorldDelta):
-    """Durable serving ingest: append-then-refresh under the journal lock.
+    """Durable serving ingest: write ahead, then refresh, under the lock.
 
     The serving twin of :func:`append_and_apply`:
     ``predictor.refresh`` swaps the served world and invalidates
@@ -794,13 +731,5 @@ def journaled_ingest(predictor, journal: DeltaJournal, delta: WorldDelta):
     here (direct ``refresh`` calls would desync the generation chain).
     """
     with journal.lock:
-        world = predictor.world
-        validate_delta(world, delta)
-        generation = world.generation + 1
-        world_hash = chain_hash(world.content_hash, delta.digest())
-        journal.append(delta, generation, world_hash)
-        new_world = predictor.refresh(delta)
-        journal.note_touched(
-            generation, new_world.delta_log[-1].touched_users
-        )
-        return new_world
+        journal.write_ahead(predictor.world, delta)
+        return predictor.refresh(delta)

@@ -169,7 +169,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             except JournalError as exc:
                 print(f"cannot open --journal: {exc}", file=sys.stderr)
                 return 2
-        service = QueryService(predictor, journal=journal)
+        service = QueryService(predictor)
         try:
             payload = service.answer(route, query)
         except ValueError as exc:

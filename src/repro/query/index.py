@@ -16,15 +16,15 @@ there.  Radius queries then compose with the uniform spatial grid
 inverted CSR -> users, no per-user distance math.
 
 The index is **generation-stamped** and incrementally maintained:
-:meth:`PredictionIndex.refreshed` re-scores only the users touched by
-ingest generations after the stamp (``score_population(
-since_generation=...)``), drops touched users that became labeled, and
-merges the fresh rows over the retained ones.  Because the batch
-fold-in engine is bit-identical regardless of batch composition and
-untouched users' evidence is unchanged by construction of the touched
-set, a refreshed index equals a from-scratch rebuild at the same
-generation **bit for bit** (asserted by ``tests/test_query_index.py``
-and ``benchmarks/bench_query.py``).
+:meth:`PredictionIndex.refreshed` re-scores only the unlabeled users
+touched by ingest generations after the stamp (the slice
+``score_population(since_generation=...)`` scores), drops touched
+users that became labeled, and merges the fresh rows over the retained
+ones.  Because the batch fold-in engine is bit-identical regardless of
+batch composition and untouched users' evidence is unchanged by
+construction of the touched set, a refreshed index equals a
+from-scratch rebuild at the same generation **bit for bit** (asserted
+by ``tests/test_query_index.py`` and ``benchmarks/bench_query.py``).
 
 A refresh window that reaches past the retained delta log raises
 :class:`repro.data.delta.StaleWindowError`; the serving wrapper
@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.data.columnar import build_csr
+from repro.data.delta import touched_since
 
 if TYPE_CHECKING:  # import at call time: serving imports this package
     from repro.serving.foldin import FoldInPredictor, FoldInPrediction
@@ -209,21 +210,21 @@ class PredictionIndex:
 
     # -- incremental maintenance -------------------------------------------
 
-    def refreshed(
-        self, predictor: FoldInPredictor, journal=None
-    ) -> "PredictionIndex":
+    def refreshed(self, predictor: FoldInPredictor) -> "PredictionIndex":
         """A new index advanced to the predictor's current generation.
 
-        Re-scores only the delta-affected slice
-        (``score_population(since_generation=self.generation)``), drops
+        Re-scores only the unlabeled users the world's ``delta_log``
+        marks as touched since ``self.generation`` (the slice
+        ``score_population(since_generation=...)`` would score), drops
         affected users that are no longer unlabeled, and keeps every
         untouched row verbatim -- bit-identical to a from-scratch
         :meth:`build` at the same generation.
 
         Raises :class:`repro.data.delta.StaleWindowError` when the
-        window since ``self.generation`` is no longer retained (in
-        memory past ``DELTA_LOG_LIMIT``, or behind the journal's last
-        compaction); the caller owns the loud full-rebuild fallback.
+        window since ``self.generation`` is no longer retained (past
+        ``DELTA_LOG_LIMIT`` generations, or behind the journal snapshot
+        a recovered world started from); the caller owns the loud
+        full-rebuild fallback.
         Raises ``ValueError`` when the predictor's world is *behind*
         the index (a stale predictor cannot refresh a newer index).
         """
@@ -236,23 +237,16 @@ class PredictionIndex:
                 f"world generation {generation} is behind the index "
                 f"({self.generation}); refresh needs the newer world"
             )
-        from repro.serving.batch import score_population
-
-        if journal is not None:
-            affected = journal.touched_since(self.generation)
-        else:
-            from repro.data.delta import touched_since
-
-            affected = touched_since(world, self.generation)
-        scores = score_population(
-            world,
-            predictor.result,
-            predictor=predictor,
-            since_generation=self.generation,
-            journal=journal,
+        affected = touched_since(world, self.generation)
+        rescored = np.intersect1d(
+            np.flatnonzero(~world.labeled_mask), affected, assume_unique=True
+        ).tolist()
+        predictions = predictor.predict_batch(
+            [predictor.spec_for_training_user(uid) for uid in rescored],
+            use_cache=False,
         )
         fresh = self.from_scores(
-            scores,
+            dict(zip(rescored, predictions)),
             k=self.k,
             n_locations=int(self.home_indptr.size - 1),
             generation=generation,

@@ -237,12 +237,10 @@ class QueryService:
     def __init__(
         self,
         predictor: FoldInPredictor,
-        journal=None,
         k: int = DEFAULT_TOP_K,
         cell_miles: float = 50.0,
     ):
         self.predictor = predictor
-        self.journal = journal
         self.k = k
         self._cell_miles = cell_miles
         self._lock = threading.Lock()
@@ -287,9 +285,7 @@ class QueryService:
             elif self._index.generation != self.predictor.world.generation:
                 try:
                     t0 = time.perf_counter()
-                    self._index = self._index.refreshed(
-                        self.predictor, journal=self.journal
-                    )
+                    self._index = self._index.refreshed(self.predictor)
                     QUERY_REFRESH_SECONDS.labels(kind="incremental").observe(
                         time.perf_counter() - t0
                     )

@@ -57,6 +57,7 @@ from repro.data.columnar import (
     compile_world,
     expand_csr,
 )
+from repro.data.delta import touched_since
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 
@@ -106,6 +107,19 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     out = np.zeros(counts.size + 1, dtype=np.int64)
     np.add.accumulate(counts, out=out[1:])
     return out
+
+
+def _checked_ids(ids: list[int], limit: int, what: str) -> np.ndarray:
+    """``ids`` as int64; ``ValueError`` names the first outside
+    ``[0, limit)``, including ids too large for int64."""
+    try:
+        arr = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    except OverflowError:
+        arr = None
+    if arr is None or ((arr < 0) | (arr >= limit)).any():
+        bad = next(i for i in ids if not 0 <= i < limit)
+        raise ValueError(f"unknown {what} {bad}")
+    return arr
 
 
 class _Arena:
@@ -220,25 +234,33 @@ class BatchFoldInEngine:
     # -- validation --------------------------------------------------------
 
     def _validate(
-        self,
-        neighbors: np.ndarray,
-        venues: np.ndarray,
-        specs: list[UserSpec],
-        world: ColumnarWorld,
-    ) -> None:
-        """Vectorized spec validation, same messages as
-        ``FoldInPredictor._validate``."""
+        self, specs: list[UserSpec], world: ColumnarWorld
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Check every id the specs name; return their flat evidence.
+
+        The one spec validator: the engine runs it on every chunk it
+        lowers, and ``FoldInPredictor.resolve_request`` on each request
+        spec, so a bad id is a ``ValueError`` naming the first
+        offending value before the spec can join a coalesced window.
+        Returns ``(neighbors, venues)``: the specs' friends + followers
+        and venue ids, concatenated in spec order.
+        """
         predictor = self.predictor
-        bad = neighbors[(neighbors < 0) | (neighbors >= world.n_users)]
-        if bad.size:
-            raise ValueError(f"unknown neighbour user id {int(bad[0])}")
-        bad = venues[(venues < 0) | (venues >= predictor.n_venues)]
-        if bad.size:
-            raise ValueError(f"unknown venue id {int(bad[0])}")
+        neighbors = _checked_ids(
+            list(chain.from_iterable(s.friends + s.followers for s in specs)),
+            world.n_users,
+            "neighbour user id",
+        )
+        venues = _checked_ids(
+            list(chain.from_iterable(s.venues for s in specs)),
+            predictor.n_venues,
+            "venue id",
+        )
         for spec in specs:
             loc = spec.observed_location
             if loc is not None and not 0 <= loc < predictor.n_locations:
                 raise ValueError(f"unknown observed location {loc}")
+        return neighbors, venues
 
     # -- arena construction ------------------------------------------------
 
@@ -257,14 +279,7 @@ class BatchFoldInEngine:
         ve_counts = np.fromiter(
             (len(s.venues) for s in specs), dtype=np.int64, count=n_specs
         )
-        neighbors = np.fromiter(
-            chain.from_iterable(s.friends + s.followers for s in specs),
-            dtype=np.int64,
-        )
-        venues = np.fromiter(
-            chain.from_iterable(s.venues for s in specs), dtype=np.int64
-        )
-        self._validate(neighbors, venues, specs, world)
+        neighbors, venues = self._validate(specs, world)
         nb_owner = np.repeat(spec_ids, nb_counts)
         ve_owner = np.repeat(spec_ids, ve_counts)
         observed = np.fromiter(
@@ -524,7 +539,6 @@ def score_population(
     predictor: FoldInPredictor | None = None,
     use_cache: bool = False,
     since_generation: int | None = None,
-    journal=None,
 ) -> dict[int, FoldInPrediction]:
     """Profile every *unlabeled* user of a dataset in one batch call.
 
@@ -543,16 +557,14 @@ def score_population(
     in, and re-scores just ``since_generation=<last scored>`` instead
     of the world.
 
-    The in-memory ``delta_log`` forgets generations past
-    ``DELTA_LOG_LIMIT``; pass ``journal=`` (a
-    :class:`repro.data.journal.DeltaJournal`) to answer the touched
-    window from the durable log instead, which covers everything since
-    the last compaction.  A ``since_generation`` behind the retained
-    window raises :class:`repro.data.delta.StaleWindowError` -- this
-    function never silently falls back to a full re-score; callers that
-    choose to (``repro ingest --score-output``, the query layer's index
-    refresh) must surface the fallback loudly (docs/API.md documents
-    the window contract).
+    The ``delta_log`` retains the last ``DELTA_LOG_LIMIT`` generations
+    (a world recovered from a journal snapshot starts its log there).
+    A ``since_generation`` behind the retained window raises
+    :class:`repro.data.delta.StaleWindowError` -- this function never
+    silently falls back to a full re-score; callers that choose to
+    (``repro ingest --score-output``, the query layer's index refresh)
+    must surface the fallback loudly (docs/API.md documents the window
+    contract).
     """
     world = compile_world(world)
     if predictor is None:
@@ -587,12 +599,7 @@ def score_population(
         )
     unlabeled = np.flatnonzero(~world.labeled_mask)
     if since_generation is not None:
-        if journal is not None:
-            affected = journal.touched_since(since_generation)
-        else:
-            from repro.data.delta import touched_since
-
-            affected = touched_since(world, since_generation)
+        affected = touched_since(world, since_generation)
         unlabeled = np.intersect1d(unlabeled, affected, assume_unique=True)
     specs = [
         predictor.spec_for_training_user(int(uid)) for uid in unlabeled

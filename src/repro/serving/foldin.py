@@ -404,23 +404,8 @@ class FoldInPredictor:
                 else None
             ),
         )
-        self._validate(spec)
+        self.engine._validate([spec], self.world)
         return spec
-
-    def _validate(self, spec: UserSpec, world=None) -> None:
-        n = (world if world is not None else self.world).n_users
-        for uid in spec.friends + spec.followers:
-            if not 0 <= uid < n:
-                raise ValueError(f"unknown neighbour user id {uid}")
-        for vid in spec.venues:
-            if not 0 <= vid < self.n_venues:
-                raise ValueError(f"unknown venue id {vid}")
-        if spec.observed_location is not None and not (
-            0 <= spec.observed_location < self.n_locations
-        ):
-            raise ValueError(
-                f"unknown observed location {spec.observed_location}"
-            )
 
     # -- frozen tables ------------------------------------------------------
 

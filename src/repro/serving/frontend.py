@@ -200,7 +200,7 @@ class AsyncFrontend:
         self.access_log = access_log
         #: ``GET /query/*`` served on the writer predictor (always at
         #: the newest generation).
-        self.query_service = QueryService(predictor, journal=journal)
+        self.query_service = QueryService(predictor)
         #: Completed request traces (recent ring + slow-request log).
         self.trace_buffer = TraceBuffer()
         self.started_unix = time.time()

@@ -78,7 +78,7 @@ def reference_rows(predictor, spec, cand):
 def reference_solve(predictor, spec, world=None) -> _Solution:
     """Fold in one spec by iterating its dense blocked conditionals."""
     world = world if world is not None else predictor.world
-    predictor._validate(spec, world)
+    predictor.engine._validate([spec], world)
     cand, gamma = reference_candidates(predictor, spec, world)
     n_cand = cand.size
     one_segment = np.zeros(1, dtype=np.intp)

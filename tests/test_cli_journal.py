@@ -211,3 +211,50 @@ class TestJournalCLIErrors:
         )
         assert rc == 2
         assert "cannot read --input" in capsys.readouterr().err
+
+
+class TestWindowFallback:
+    def test_journaled_ingest_past_window_rescores_fully(
+        self, artifact_info, tmp_path, capsys, monkeypatch
+    ):
+        """A journaled ``--score-output`` run whose window outgrew the
+        world's delta log warns and writes the full re-score."""
+        from repro.data.journal import open_journal
+        from repro.serving.artifacts import load_result
+        from repro.serving.batch import score_population
+        from repro.serving.foldin import FoldInPredictor, prediction_payload
+
+        monkeypatch.setattr("repro.data.delta.DELTA_LOG_LIMIT", 3)
+        artifact, n_users = artifact_info
+        journal = tmp_path / "journal"
+        deltas = tmp_path / "d.jsonl"
+        score = tmp_path / "rescored.jsonl"
+        write_deltas(deltas, n_users, 5)
+        assert main(
+            ["ingest", str(artifact), "--input", str(deltas),
+             "--journal", str(journal), "--score-output", str(score)]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "window lost" in err
+        assert "FULL re-score" in err
+
+        result = load_result(artifact)
+        world, wal, _ = open_journal(
+            journal, FoldInPredictor(result).world, create=False
+        )
+        wal.close()
+        assert world.generation == 5
+        full = score_population(
+            world, result, predictor=FoldInPredictor(result, world=world)
+        )
+        expected = [
+            {
+                "user_id": uid,
+                **prediction_payload(full[uid], world.gazetteer, top_k=3),
+            }
+            for uid in sorted(full)
+        ]
+        written = [
+            json.loads(line) for line in score.read_text().splitlines()
+        ]
+        assert written == json.loads(json.dumps(expected))

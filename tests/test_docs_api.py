@@ -52,3 +52,10 @@ def test_window_contract_documented():
     assert "## Incremental re-scoring window" in text
     assert "StaleWindowError" in text
     assert 'full_fallback' in text
+    # One bound for every topology: a journal does not extend the
+    # window past the world's delta log.
+    section = text.split("## Incremental re-scoring window", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert "DELTA_LOG_LIMIT" in section
+    assert "last compaction" not in section
+    assert "journal.touched_since" not in section

@@ -41,7 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.columnar import compile_world
-from repro.data.delta import apply_delta
+from repro.data.delta import StaleWindowError, apply_delta, touched_since
 from repro.data.journal import (
     DeltaJournal,
     JournalError,
@@ -50,7 +50,7 @@ from repro.data.journal import (
     open_journal,
     scan_journal,
 )
-from repro.serving.batch import score_population
+from repro.query import PredictionIndex, QueryService
 from repro.serving.foldin import FoldInPredictor
 from repro.serving.frontend import FrontendThread, make_frontend
 
@@ -388,15 +388,16 @@ class TestSnapshots:
         assert_worlds_identical(
             recovered, recompiled(base_world, deltas + tail)
         )
-        # touched_since floor is the compaction point: asking behind it
-        # is an explicit error, asking at-or-after it answers exactly.
-        with pytest.raises(ValueError, match="behind the last snapshot"):
-            journal2.touched_since(2)
-        touched = journal2.touched_since(5)
+        journal2.close()
+        # The recovered world's touched window starts at the snapshot
+        # it was loaded from: asking behind it is an explicit error,
+        # asking at it answers exactly.
+        with pytest.raises(StaleWindowError):
+            touched_since(recovered, 4)
+        touched = touched_since(recovered, 5)
         assert np.array_equal(
             touched, np.unique(recovered.delta_log[-1].touched_users)
         )
-        journal2.close()
 
     def test_foreign_journal_refuses_instead_of_truncating(
         self, base_world, small_world, tmp_path
@@ -410,41 +411,17 @@ class TestSnapshots:
 
 
 class TestWindowOverrun:
-    """Satellite: the journal is authoritative past DELTA_LOG_LIMIT."""
+    """Past ``DELTA_LOG_LIMIT`` a journaled server takes the loud full
+    re-score, exactly as an in-memory one does."""
 
-    def test_journal_touched_since_survives_log_window(
-        self, base_world, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr("repro.data.delta.DELTA_LOG_LIMIT", 4)
-        from repro.data.delta import touched_since
-
-        rng = np.random.default_rng(11)
-        world, journal, _ = open_journal(tmp_path, base_world)
-        all_touched = []
-        for _ in range(8):
-            delta = random_delta(world, rng, n_new=2, n_edges=4, n_tweets=4)
-            world = append_and_apply(journal, world, delta)
-            all_touched.append(world.delta_log[-1].touched_users)
-        # The in-memory log kept only the last 4 generations...
-        assert len(world.delta_log) == 4
-        with pytest.raises(ValueError, match="reaches past the retained"):
-            touched_since(world, 0)
-        # ...but the journal answers the full window, exactly.
-        expected = np.unique(np.concatenate(all_touched))
-        assert np.array_equal(journal.touched_since(0), expected)
-        journal.close()
-
-        # And the index survives a restart: replay rebuilds it.
-        _world2, journal2, _ = open_journal(tmp_path, base_world)
-        assert np.array_equal(journal2.touched_since(0), expected)
-        journal2.close()
-
-    def test_score_population_reads_the_journal_window(
-        self, small_world, fitted_result, tmp_path, monkeypatch
+    def test_query_service_falls_back_past_the_window(
+        self, fitted_result, tmp_path, monkeypatch
     ):
         monkeypatch.setattr("repro.data.delta.DELTA_LOG_LIMIT", 3)
         predictor = FoldInPredictor(fitted_result)
         _world, journal, _ = open_journal(tmp_path, predictor.world)
+        service = QueryService(predictor)
+        service.answer("/query/aggregate", "")
         rng = np.random.default_rng(23)
         for _ in range(5):
             delta = random_delta(
@@ -452,27 +429,15 @@ class TestWindowOverrun:
                 n_labels=1,
             )
             journaled_ingest(predictor, journal, delta)
-        world = predictor.world
-        assert len(world.delta_log) == 3  # window overrun
-
-        # Without the journal the since-window is unanswerable...
-        with pytest.raises(ValueError):
-            score_population(
-                world, fitted_result, predictor=predictor,
-                since_generation=0,
-            )
-        # ...with it, exactly the touched unlabeled slice is scored.
-        predictions = score_population(
-            world, fitted_result, predictor=predictor,
-            since_generation=0, journal=journal,
-        )
         journal.close()
-        unlabeled = np.flatnonzero(~world.labeled_mask)
-        expected_ids = np.intersect1d(
-            unlabeled, journal.touched_since(0), assume_unique=True
+        assert len(predictor.world.delta_log) == 3  # window overrun
+        with pytest.warns(RuntimeWarning, match="refresh window lost"):
+            payload = service.answer("/query/aggregate", "")
+        assert payload["generation"] == 5
+        assert service.stale_window_fallbacks == 1
+        assert service.current_index().same_projection(
+            PredictionIndex.build(predictor)
         )
-        assert sorted(predictions) == expected_ids.tolist()
-        assert all(p.profile is not None for p in predictions.values())
 
 
 class TestPropertyBased:

@@ -203,16 +203,24 @@ class TestEdgeCases:
         assert_batch_matches_sequential(predictor, engine, specs)
 
     def test_validation_matches_sequential_messages(self, predictor, engine):
-        """The engine rejects bad ids with the per-spec validator's
-        messages."""
-        for spec, message in (
-            (UserSpec(friends=(10_000,)), "neighbour user id 10000"),
-            (UserSpec(followers=(-1,)), "neighbour user id -1"),
-            (UserSpec(venues=(10_000_000,)), "venue id 10000000"),
-            (UserSpec(observed_location=-5), "observed location -5"),
+        """A request spec is rejected at ``resolve_request`` with the
+        same message a direct ``engine.solve`` caller gets."""
+        for payload, spec, message in (
+            ({"friends": [10_000]}, UserSpec(friends=(10_000,)),
+             "neighbour user id 10000"),
+            ({"followers": [-1]}, UserSpec(followers=(-1,)),
+             "neighbour user id -1"),
+            ({"venues": [10_000_000]}, UserSpec(venues=(10_000_000,)),
+             "venue id 10000000"),
+            ({"observed_location": -5}, UserSpec(observed_location=-5),
+             "observed location -5"),
+            # Beyond int64: still a ValueError (a 400), never an
+            # OverflowError out of the id arrays.
+            ({"friends": [3, 10**20]}, UserSpec(friends=(3, 10**20)),
+             f"neighbour user id {10**20}"),
         ):
             with pytest.raises(ValueError, match=message):
-                predictor._validate(spec)
+                predictor.resolve_request(payload)
             with pytest.raises(ValueError, match=message):
                 engine.solve([UserSpec(), spec])
 
