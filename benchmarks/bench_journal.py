@@ -12,7 +12,8 @@ Measures the two claims the write-ahead journal makes:
    from scratch -- otherwise the snapshot machinery is pure overhead.
    The recovered world is first golden-gated bit-identical to the
    live one (a wrong-but-fast recovery must fail loudly, not win the
-   ratio).
+   ratio).  The cost of writing one snapshot (``snapshot_write_ms``,
+   the shared world-directory writer) is journaled beside it, ungated.
 
 Both land in ``benchmarks/results/bench_run.json`` via the session
 journal; the CI perf gate pins the machine-independent numbers
@@ -24,10 +25,11 @@ from __future__ import annotations
 import statistics
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.data.columnar import WORLD_ARRAY_KEYS, ColumnarWorld
+from repro.data.columnar import WORLD_ARRAY_KEYS, ColumnarWorld, write_world_dir
 from repro.data.delta import WorldDelta
 from repro.data.generator import SyntheticWorldConfig, generate_columnar_world
 from repro.data.journal import DeltaJournal, append_and_apply, open_journal
@@ -170,7 +172,10 @@ def test_journal_replay_beats_recompile(journal):
         )
         replay_times: list[float] = []
         recompile_times: list[float] = []
-        for _ in range(5):
+        write_times: list[float] = []
+        writes = Path(directory) / "writes"
+        writes.mkdir()
+        for i in range(5):
             start = time.perf_counter()
             _w, wal3, _ = open_journal(directory, world)
             replay_times.append(time.perf_counter() - start)
@@ -180,8 +185,12 @@ def test_journal_replay_beats_recompile(journal):
                 world.gazetteer, **recompile_inputs
             )
             recompile_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            write_world_dir(current, writes / f"snapshot-{i}")
+            write_times.append(time.perf_counter() - start)
     replay_s = statistics.median(replay_times)
     recompile_s = statistics.median(recompile_times)
+    write_s = statistics.median(write_times)
     ratio = recompile_s / replay_s
     journal(
         "timing",
@@ -192,12 +201,13 @@ def test_journal_replay_beats_recompile(journal):
         replay_ms=round(replay_s * 1000, 3),
         recompile_ms=round(recompile_s * 1000, 3),
         replay_over_recompile=round(ratio, 2),
+        snapshot_write_ms=round(write_s * 1000, 3),
     )
     print(
         f"\n[journal] recovery {replay_s * 1000:.1f} ms (snapshot + "
         f"{N_DELTAS - COMPACT_AT} tail records) vs recompile "
         f"{recompile_s * 1000:.1f} ms on {current.n_users} users: "
-        f"{ratio:.1f}x"
+        f"{ratio:.1f}x; one snapshot write {write_s * 1000:.1f} ms"
     )
     assert ratio >= 1.2, (
         f"snapshot recovery only {ratio:.2f}x faster than a from-scratch "

@@ -486,7 +486,8 @@ def _add_compact(sub: argparse._SubParsersAction) -> None:
         help="snapshot a journaled world and truncate the journal",
         description=(
             "Recover a journal directory, checkpoint the recovered "
-            "world as a versioned snapshot (.world.npz) and truncate "
+            "world as a snapshot directory (snapshot-<generation>/: "
+            "one .npy per arena plus meta.json) and truncate "
             "the journal behind it -- future recoveries load the "
             "snapshot and replay only the post-compaction tail.  "
             "Prints the compaction report as JSON."

@@ -24,9 +24,10 @@ read-only:
 - **precomputed candidate sets**: the full-signal Sec. 4.3 candidacy
   vector of every user as one more CSR, so edge scoring never re-walks
   the graph (prior construction slices instead of looping);
-- a deterministic **content hash** plus ``to_arrays``/``from_arrays``
-  so serving artifacts persist the compiled form and reload it with
-  zero re-indexing.
+- a deterministic **content hash**, plus the one on-disk form of a
+  world (:func:`write_world_dir`/:func:`read_world_dir`: a directory of
+  raw ``.npy`` arenas and a ``meta.json``) that journal snapshots and
+  world-store generations share.
 
 **Id maps.**  All three id spaces are dense, so the bidirectional maps
 are intentionally trivial: user id == row in the user table, location
@@ -47,7 +48,12 @@ contract.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import shutil
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 
@@ -124,7 +130,7 @@ def expand_csr(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray):
 
 
 #: Array keys persisted by :meth:`ColumnarWorld.to_arrays`, in layout
-#: order.  ``from_arrays`` requires exactly this set.
+#: order.  The constructor requires exactly this set.
 WORLD_ARRAY_KEYS = (
     "observed_location",
     "observed_venue",
@@ -154,9 +160,9 @@ class ColumnarWorld:
 
     Construct through :func:`compile_world` (memoized per dataset),
     :meth:`from_edge_arrays` (the sharded generator's zero-object
-    path) or :meth:`from_arrays` (artifact reload).  All arrays are
-    treated as immutable after construction; consumers share them
-    read-only across chains, processes and serving threads.
+    path) or :func:`read_world_dir` (a persisted generation).  All
+    arrays are treated as immutable after construction; consumers
+    share them read-only across chains, processes and serving threads.
     """
 
     def __init__(
@@ -439,13 +445,6 @@ class ColumnarWorld:
         """The compiled form as plain arrays (see ``WORLD_ARRAY_KEYS``)."""
         return {key: getattr(self, key) for key in WORLD_ARRAY_KEYS}
 
-    @classmethod
-    def from_arrays(
-        cls, gazetteer: Gazetteer, arrays: dict[str, np.ndarray]
-    ) -> "ColumnarWorld":
-        """Rehydrate a persisted world; validates CSR consistency."""
-        return cls(gazetteer, arrays)
-
     def memory_report(self) -> dict[str, dict]:
         """Bytes, dtype and shape of every compiled arena.
 
@@ -468,31 +467,23 @@ class ColumnarWorld:
         report["total_bytes"] = total
         return report
 
-    def dump_dir(self, directory, fsync: bool = False) -> None:
+    def dump_dir(self, directory) -> None:
         """Persist each arena as ``<key>.npy`` under ``directory``.
 
         The plain-``.npy``-per-array layout (rather than one ``.npz``)
         exists so :meth:`load_dir` can hand the arrays back as
         memory-mapped views: a 1M-user world then costs address space,
-        not resident memory, until a consumer touches it.
-
-        With ``fsync=True`` every array file is fsynced after writing
-        (the caller still owns directory-level durability -- see
-        :func:`repro.data.journal.fsync_dir`); the
-        :class:`~repro.serving.store.WorldStore` publish path uses
-        this so a generation rename can never expose half-written
-        arenas after a crash.
+        not resident memory, until a consumer touches it.  Every file
+        is fsynced; directory-level durability is
+        :func:`write_world_dir`'s job.
         """
-        import os
-
         os.makedirs(directory, exist_ok=True)
         for key in WORLD_ARRAY_KEYS:
             path = os.path.join(directory, f"{key}.npy")
             with open(path, "wb") as fh:
                 np.save(fh, getattr(self, key))
-                if fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                fh.flush()
+                os.fsync(fh.fileno())
 
     @classmethod
     def load_dir(
@@ -505,8 +496,6 @@ class ColumnarWorld:
         demand).  Validation touches only array heads and extrema, so
         loading stays cheap even for worlds larger than RAM.
         """
-        import os
-
         mode = "r" if mmap else None
         arrays = {
             key: np.load(os.path.join(directory, f"{key}.npy"), mmap_mode=mode)
@@ -594,6 +583,96 @@ class ColumnarWorld:
         )
 
 
+# -- the on-disk world format ----------------------------------------------
+
+#: The metadata file of a generation directory (next to the arenas).
+WORLD_META_FILE = "meta.json"
+
+
+class WorldDigestError(ValueError):
+    """Persisted arenas do not match their recorded ``world_rehash``."""
+
+
+def fsync_dir(directory) -> None:
+    """Make a rename/creation in ``directory`` durable (best effort)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - exotic filesystems
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover
+        pass
+    finally:
+        os.close(fd)
+
+
+def write_world_dir(
+    world: ColumnarWorld, directory, extra_meta: dict | None = None
+) -> dict:
+    """Persist ``world`` as the generation directory ``directory``.
+
+    The one on-disk world format: :meth:`ColumnarWorld.dump_dir` arenas
+    plus a ``meta.json`` naming the generation, the chained
+    ``content_hash``, the full-array ``world_rehash`` and the sizes,
+    merged with the caller's ``extra_meta``.  Atomic by rename: the
+    directory is written under a temporary sibling name, every file is
+    fsynced, the temp directory is renamed into place and the parent
+    fsynced, so a crash leaves the old state or the whole new
+    directory.  ``directory`` must not exist yet.  Returns the meta.
+    """
+    directory = Path(directory)
+    meta = {
+        "generation": int(world.generation),
+        "content_hash": world.content_hash,
+        "world_rehash": world.rehash(),
+        "n_users": world.n_users,
+        "n_following": world.n_following,
+        "n_tweeting": world.n_tweeting,
+        **(extra_meta or {}),
+        "created_unix": time.time(),
+    }
+    tmp = directory.with_name(f".{directory.name}.tmp-{os.getpid()}")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    try:
+        world.dump_dir(tmp)
+        with open(tmp / WORLD_META_FILE, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.rename(tmp, directory)
+        fsync_dir(directory.parent)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    return meta
+
+
+def read_world_dir(
+    gazetteer: Gazetteer, directory, mmap: bool = True, verify: bool = False
+) -> tuple[ColumnarWorld, dict]:
+    """Load a :func:`write_world_dir` directory; returns ``(world, meta)``.
+
+    The world carries the persisted identity (``generation`` and the
+    chained ``content_hash`` from the meta).  With ``verify=True`` the
+    full-array digest is recomputed and a mismatch against
+    ``world_rehash`` raises :class:`WorldDigestError`.  A missing or
+    unparsable file raises ``OSError``/``ValueError``/``KeyError``;
+    callers map both to their own error types.
+    """
+    directory = Path(directory)
+    meta = json.loads((directory / WORLD_META_FILE).read_text(encoding="utf-8"))
+    world = ColumnarWorld.load_dir(gazetteer, directory, mmap=mmap)
+    world.generation = int(meta["generation"])
+    world._content_hash = meta["content_hash"]
+    if verify and world.rehash() != meta["world_rehash"]:
+        raise WorldDigestError(
+            f"{directory}: arenas do not match their recorded digest"
+        )
+    return world, meta
+
+
 # -- the compile-once memo -------------------------------------------------
 
 _WORLD_CACHE: "weakref.WeakKeyDictionary[Dataset, ColumnarWorld]" = (
@@ -667,7 +746,7 @@ def compile_world(source: "Dataset | ColumnarWorld") -> ColumnarWorld:
 
 
 def register_world(dataset: Dataset, world: ColumnarWorld) -> None:
-    """Pre-seed the memo (artifact loads, sharded generation).
+    """Pre-seed the memo (materialized datasets, sharded generation).
 
     The world adopts ``dataset`` as its object-graph view only when it
     has no live one already -- a world compiled from dataset A and

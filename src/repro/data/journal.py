@@ -14,17 +14,20 @@ ingested user.  This module makes the delta stream **durable**:
   ``kill -9``; larger values trade the tail of a crash window for
   append throughput;
 - **snapshot / compaction**: :meth:`DeltaJournal.snapshot` checkpoints
-  the compiled world (``ColumnarWorld.to_arrays``) into a versioned
-  ``snapshot-<generation>.world.npz`` (written to a temp file, fsynced,
-  atomically renamed); :meth:`DeltaJournal.compact` snapshots and then
-  truncates the journal behind it, so recovery cost is bounded by the
-  tail since the last checkpoint, not the lifetime of the stream;
+  the compiled world into a ``snapshot-<generation>/`` directory in the
+  one on-disk world format, the same one the world store publishes
+  (:func:`repro.data.columnar.write_world_dir`: raw ``.npy`` arenas
+  plus ``meta.json``, fsynced, renamed into place);
+  :meth:`DeltaJournal.compact` snapshots and then truncates the journal
+  behind it, so recovery cost is bounded by the tail since the last
+  checkpoint, not the lifetime of the stream;
 - **startup replay**: :func:`open_journal` loads the newest snapshot
   that *chains into* the journal (a stale or corrupt snapshot falls
-  back to older ones and finally to the base world), then replays the
-  tail -- verifying, per record, that ``generation`` advances by one
-  and that ``chain_hash(parent, delta.digest())`` equals the recorded
-  hash *before* applying.  The reconstructed world therefore carries
+  back to older ones, each read only when needed, and finally to the
+  base world), then replays the tail -- verifying, per record, that
+  ``generation`` advances by one and that
+  ``chain_hash(parent, delta.digest())`` equals the recorded hash
+  *before* applying.  The reconstructed world therefore carries
   the exact pre-crash generation and chained hash, and its arrays are
   bit-identical to applying the longest valid delta prefix from
   scratch (``tests/test_journal_recovery.py`` pins this under torn
@@ -48,17 +51,21 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import struct
 import threading
 import time
-import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from repro.data.columnar import WORLD_ARRAY_KEYS, ColumnarWorld
+from repro.data.columnar import (
+    ColumnarWorld,
+    WorldDigestError,
+    fsync_dir,
+    read_world_dir,
+    write_world_dir,
+)
 from repro.data.delta import (
     WorldDelta,
     apply_delta,
@@ -107,7 +114,6 @@ JOURNAL_REPLAY_SECONDS = _REG.histogram(
 
 __all__ = [
     "DeltaJournal",
-    "fsync_dir",
     "JournalError",
     "JournalRecord",
     "append_and_apply",
@@ -120,7 +126,6 @@ __all__ = [
 #: (never silently truncated into one).
 JOURNAL_MAGIC = b"RPWJ0001"
 JOURNAL_FILE = "journal.wal"
-SNAPSHOT_VERSION = 1
 #: Snapshots kept after a compaction (the newest ones); older files
 #: are pruned.  Two, so one corrupt checkpoint never strands recovery
 #: on a full-journal replay alone.
@@ -135,7 +140,7 @@ MAX_RECORD_BYTES = 64 << 20
 _HEADER = struct.Struct("<II")
 _BODY_HEAD = struct.Struct("<Q16s")
 
-_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.world\.npz$")
+_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})$")
 
 
 class JournalError(ValueError):
@@ -247,31 +252,11 @@ def scan_journal(
     return records, valid_end, error
 
 
-def fsync_dir(directory: Path) -> None:
-    """Make a rename/creation in ``directory`` durable (best effort).
-
-    Public because the directory-fsync idiom is shared durability
-    machinery: the journal uses it around snapshot renames and journal
-    truncation, and the :class:`~repro.serving.store.WorldStore` uses
-    the same call when it renames a published generation into place.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
-
-
 class DeltaJournal:
     """The durable write-ahead delta log of one served world.
 
-    One directory holds ``journal.wal`` plus versioned
-    ``snapshot-<generation>.world.npz`` checkpoints.  All mutating
+    One directory holds ``journal.wal`` plus
+    ``snapshot-<generation>/`` checkpoint directories.  All mutating
     methods serialize on :attr:`lock` (reentrant, so the
     append-then-apply helpers can hold it across both steps).
     Construct directly for a fresh/append-only handle; go through
@@ -430,7 +415,7 @@ class DeltaJournal:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot_paths(self) -> list[Path]:
-        """Snapshot files present, newest generation first."""
+        """Snapshot directories present, newest generation first."""
         found = []
         for entry in self.directory.iterdir():
             match = _SNAPSHOT_RE.match(entry.name)
@@ -439,40 +424,27 @@ class DeltaJournal:
         return [path for _, path in sorted(found, reverse=True)]
 
     def snapshot(self, world: ColumnarWorld) -> Path:
-        """Checkpoint ``world`` as ``snapshot-<generation>.world.npz``.
+        """Checkpoint ``world`` as the ``snapshot-<generation>/`` directory.
 
-        Durable by construction: written to a temp file, fsynced,
-        atomically renamed, directory fsynced.  Uncompressed
-        ``np.savez`` -- recovery latency is the point of a snapshot,
-        and the journal it truncates was the space concern.
+        Durable by construction (:func:`write_world_dir`: temp
+        directory, every file fsynced, renamed into place, directory
+        fsynced).  A verified snapshot of this very world already on
+        disk (a second compaction with no ingest in between) is kept
+        as it is; a corrupt or foreign one at that name is replaced.
         """
         with self.lock:
             t0 = time.perf_counter()
-            meta = {
-                "format_version": SNAPSHOT_VERSION,
-                "generation": world.generation,
-                "content_hash": world.content_hash,
-                "world_rehash": world.rehash(),
-                "n_users": world.n_users,
-                "created_unix": time.time(),
-            }
-            name = f"snapshot-{world.generation:012d}.world.npz"
-            tmp = self.directory / (name + ".tmp")
+            path = self.directory / f"snapshot-{world.generation:012d}"
+            if path.exists():
+                try:
+                    existing = self._load_snapshot(path, world.gazetteer)
+                    if existing.content_hash == world.content_hash:
+                        return path
+                except JournalError:
+                    pass
+                shutil.rmtree(path)
             with span("journal.snapshot"):
-                with open(tmp, "wb") as fh:
-                    np.savez(
-                        fh,
-                        meta=np.array(json.dumps(meta)),
-                        **{
-                            f"world_{key}": arr
-                            for key, arr in world.to_arrays().items()
-                        },
-                    )
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                path = self.directory / name
-                os.replace(tmp, path)
-                fsync_dir(self.directory)
+                write_world_dir(world, path)
             JOURNAL_SNAPSHOT_SECONDS.observe(time.perf_counter() - t0)
             JOURNAL_SNAPSHOTS.inc()
             return path
@@ -510,7 +482,7 @@ class DeltaJournal:
             self._snapshot_generation = world.generation
             pruned = []
             for stale in self.snapshot_paths()[SNAPSHOTS_KEPT:]:
-                stale.unlink()
+                shutil.rmtree(stale)
                 pruned.append(str(stale))
             return {
                 "snapshot": str(snapshot_path),
@@ -523,34 +495,16 @@ class DeltaJournal:
     def _load_snapshot(self, path: Path, gazetteer) -> ColumnarWorld:
         """Load one checkpoint; :class:`JournalError` on any corruption."""
         try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"][()]))
-                if meta.get("format_version") != SNAPSHOT_VERSION:
-                    raise JournalError(
-                        f"{path}: unsupported snapshot version "
-                        f"{meta.get('format_version')!r}"
-                    )
-                arrays = {
-                    key: data[f"world_{key}"] for key in WORLD_ARRAY_KEYS
-                }
-            world = ColumnarWorld.from_arrays(gazetteer, arrays)
-            if world.rehash() != meta["world_rehash"]:
-                raise JournalError(
-                    f"{path}: snapshot arrays do not match their recorded "
-                    "digest (corrupt checkpoint)"
-                )
-        except JournalError:
-            raise
-        except (
-            OSError,
-            KeyError,
-            ValueError,
-            zipfile.BadZipFile,
-            json.JSONDecodeError,
-        ) as exc:
+            world, _meta = read_world_dir(
+                gazetteer, path, mmap=False, verify=True
+            )
+        except WorldDigestError as exc:
+            raise JournalError(
+                f"{path}: snapshot arrays do not match their recorded "
+                "digest (corrupt checkpoint)"
+            ) from exc
+        except (OSError, KeyError, ValueError) as exc:
             raise JournalError(f"{path}: unreadable snapshot ({exc})") from exc
-        world._content_hash = meta["content_hash"]
-        world.generation = int(meta["generation"])
         return world
 
     # -- recovery ----------------------------------------------------------
@@ -560,24 +514,25 @@ class DeltaJournal:
     ) -> tuple[ColumnarWorld, Path | None]:
         """Newest recoverable state that chains into the journal tail.
 
-        Snapshots are tried newest first; one is accepted only if the
-        journal record *after* it exists contiguously and its recorded
-        hash chains from the snapshot (or no such record exists and
-        any overlapping record agrees on the hash).  Fallback is the
+        Snapshots are read and tried newest first, an older one only
+        when every newer one is corrupt or does not chain; one is
+        accepted only if the journal record *after* it exists
+        contiguously and its recorded hash chains from the snapshot
+        (or no such record exists and any overlapping record agrees
+        on the hash).  Fallback is the
         base world; if even that cannot reach the journal's first
         record, the journal belongs to a different history (or its
         snapshot is gone) and recovery refuses rather than truncate.
         """
-        candidates: list[tuple[ColumnarWorld, Path | None]] = []
-        for path in self.snapshot_paths():
-            try:
-                candidates.append(
-                    (self._load_snapshot(path, base_world.gazetteer), path)
-                )
-            except JournalError:
-                continue
-        candidates.append((base_world, None))
-        for world, path in candidates:
+        def candidates():
+            for path in self.snapshot_paths():
+                try:
+                    yield self._load_snapshot(path, base_world.gazetteer), path
+                except JournalError:
+                    continue
+            yield base_world, None
+
+        for world, path in candidates():
             tail = [r for r in live if r.generation > world.generation]
             if tail:
                 first = tail[0]

@@ -15,6 +15,9 @@ result *bit-for-bit*:
   (per-chain mean counts, traces, law histories, final states and edge
   tallies).
 
+The compiled columnar world is *not* stored: it is derived data, and
+``compile_world(result.dataset)`` rebuilds it bit for bit on first use.
+
 The format is versioned like the dataset format: loading an unknown
 version or a corrupted file raises :class:`ArtifactError` loudly rather
 than guessing.  Every artifact carries a deterministic ``artifact_id``
@@ -40,28 +43,22 @@ from repro.core.results import (
     TweetExplanation,
 )
 from repro.core.state import EdgeAssignmentTally
-from repro.data.columnar import (
-    WORLD_ARRAY_KEYS,
-    ColumnarWorld,
-    compile_world,
-    register_world,
-)
 from repro.data.io import dataset_from_payload, dataset_to_payload
 from repro.engine.pool import ChainResult, PooledPosterior
 from repro.mathx.powerlaw import PowerLaw
 
 #: Artifact format version written by this build; bump on any layout
-#: change.  Version 2 added the persisted columnar world
-#: (``world_*`` arrays + ``world_hash`` metadata); version 3 stores the
-#: dataset payload as UTF-8 bytes (a ``uint8`` array) instead of a
-#: NumPy unicode scalar, which is UCS-4: four times the bytes for zlib
-#: to compress.
-ARTIFACT_VERSION = 3
+#: change.  Version 2 added a persisted columnar world (``world_*``
+#: arrays + ``world_hash`` metadata); version 3 stores the dataset
+#: payload as UTF-8 bytes (a ``uint8`` array) instead of a NumPy
+#: unicode scalar, which is UCS-4: four times the bytes for zlib to
+#: compress; version 4 drops the persisted world again.
+ARTIFACT_VERSION = 4
 
-#: Versions this build can read.  Version-1 artifacts (no persisted
-#: world) load fine -- the world is recompiled from the dataset on
-#: first use.
-SUPPORTED_ARTIFACT_VERSIONS = (1, 2, 3)
+#: Versions this build can read.  The ``world_*`` records of versions
+#: 2 and 3 are ignored: every version recompiles the world from the
+#: dataset on first use.
+SUPPORTED_ARTIFACT_VERSIONS = (1, 2, 3, 4)
 
 #: Conventional artifact file suffix (not enforced).
 ARTIFACT_SUFFIX = ".mlp.npz"
@@ -353,13 +350,6 @@ def save_result(result: MLPResult, path: str | Path) -> str:
     if result.venue_counts is not None:
         arrays["venue_counts"] = result.venue_counts
 
-    # Persist the compiled columnar world (memoized: a result fitted in
-    # this process reuses the fit's world), so loading the artifact
-    # re-attaches the index instead of re-deriving it.
-    world = compile_world(result.dataset)
-    for key, arr in world.to_arrays().items():
-        arrays[f"world_{key}"] = arr
-
     posterior_meta = None
     if result.posterior is not None:
         posterior_meta, posterior_arrays = _pack_posterior(result.posterior)
@@ -374,7 +364,6 @@ def save_result(result: MLPResult, path: str | Path) -> str:
         "n_locations": len(result.dataset.gazetteer),
         "n_venues": len(result.dataset.gazetteer.venue_vocabulary),
         "has_venue_counts": result.venue_counts is not None,
-        "world_hash": world.content_hash,
         "posterior": posterior_meta,
     }
     # Write through an open handle: np.savez would otherwise append
@@ -419,8 +408,8 @@ def _open_artifact(path: str | Path):
 
 
 def _dataset_text(data) -> str:
-    """The embedded dataset's JSON text: UTF-8 bytes (version 3) or a
-    unicode scalar (versions 1 and 2)."""
+    """The embedded dataset's JSON text: UTF-8 bytes (versions 3 and 4)
+    or a unicode scalar (versions 1 and 2)."""
     payload = data["dataset_json"]
     if payload.dtype == np.uint8:
         return payload.tobytes().decode("utf-8")
@@ -439,19 +428,6 @@ def load_result(path: str | Path) -> MLPResult:
     meta, data = _open_artifact(path)
     try:
         dataset = dataset_from_payload(json.loads(_dataset_text(data)))
-        if meta.get("world_hash") is not None:
-            # Re-attach the persisted columnar world: consumers (fold-in,
-            # evaluation) then share the saved index with zero re-indexing.
-            world = ColumnarWorld.from_arrays(
-                dataset.gazetteer,
-                {key: data[f"world_{key}"] for key in WORLD_ARRAY_KEYS},
-            )
-            if world.content_hash != meta["world_hash"]:
-                raise ArtifactError(
-                    f"{path}: persisted columnar world does not match its "
-                    "recorded content hash (corrupted artifact)"
-                )
-            register_world(dataset, world)
         params = MLPParams(**meta["params"])
         posterior = (
             _unpack_posterior(meta["posterior"], data)

@@ -8,21 +8,23 @@ ad-hoc RCU.  :class:`WorldStore` formalizes that protocol across
 process boundaries:
 
 - **publish** (writer side): each :class:`~repro.data.columnar
-  .ColumnarWorld` generation is dumped as read-only ``.npy`` arenas
-  into its own ``gen-<generation>`` directory
-  (:meth:`ColumnarWorld.dump_dir`, fsynced), together with a
-  ``meta.json`` naming the generation, the chained content hash, the
-  full-array digest and the delta's ``label_users`` (the cache
-  invalidation set readers need).  The directory is written under a
-  temporary name and **renamed** into place, then the ``CURRENT``
-  manifest is atomically replaced -- a reader can observe the old
-  generation or the new one, never a half-published directory;
+  .ColumnarWorld` generation is written to its own ``gen-<generation>``
+  directory in the one on-disk world format
+  (:func:`~repro.data.columnar.write_world_dir`: read-only ``.npy``
+  arenas plus a ``meta.json`` naming the generation, the chained
+  content hash and the full-array digest), with the delta's
+  ``label_users`` (the cache invalidation set readers need) added to
+  the meta.  The directory is written under a temporary name and
+  **renamed** into place, then the ``CURRENT`` manifest is atomically
+  replaced -- a reader can observe the old generation or the new one,
+  never a half-published directory;
 - **acquire / release** (reader side): :meth:`acquire` resolves
   ``CURRENT`` and memory-maps the named generation
-  (:meth:`ColumnarWorld.load_dir` with ``mmap=True``): attaching costs
-  page-table entries, not copies, and N workers share one page cache
-  image of the arenas.  The returned :class:`WorldLease` pins the
-  generation against in-process retirement until released;
+  (:func:`~repro.data.columnar.read_world_dir` with ``mmap=True``):
+  attaching costs page-table entries, not copies, and N workers share
+  one page cache image of the arenas.  The returned
+  :class:`WorldLease` pins the generation against in-process
+  retirement until released;
 - **retire** (grace period): old generations are unlinked only once
   they fall behind the newest ``retain`` *and* hold no in-process
   lease.  Cross-process readers that raced a retirement are safe
@@ -36,11 +38,9 @@ instead of silently interleaving generations.  Readers never lock
 anything -- generation swap is wait-free on their side, exactly the
 RCU shape the serving front end needs.
 
-The on-disk layout deliberately reuses the persistence machinery that
-already existed: :meth:`dump_dir`/:meth:`load_dir` for the arenas
-(PR 8) and the journal's atomic write-fsync-rename idiom
-(:func:`repro.data.journal.fsync_dir`) for publication, so a store
-directory is just "a snapshot per generation plus a pointer".
+A generation directory is written and read by the same pair of
+functions as a journal snapshot, so a store directory is just "a
+snapshot per generation plus a pointer".
 """
 
 from __future__ import annotations
@@ -54,8 +54,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.data.columnar import ColumnarWorld
-from repro.data.journal import fsync_dir
+from repro.data.columnar import (
+    WORLD_META_FILE,
+    ColumnarWorld,
+    WorldDigestError,
+    fsync_dir,
+    read_world_dir,
+    write_world_dir,
+)
 from repro.obs import metrics as obs_metrics
 
 _REG = obs_metrics.get_registry()
@@ -79,7 +85,6 @@ STORE_RETIRED = _REG.counter(
 #: ``CURRENT`` names the generation readers should attach; replaced
 #: atomically on every publish.
 MANIFEST_FILE = "CURRENT"
-META_FILE = "meta.json"
 WRITER_LOCK_FILE = "writer.lock"
 _GEN_RE = re.compile(r"^gen-(\d{12})$")
 
@@ -199,45 +204,24 @@ class WorldStore:
         generation = int(world.generation)
         name = f"gen-{generation:012d}"
         final = self.directory / name
-        meta = {
-            "generation": generation,
-            "content_hash": world.content_hash,
-            "world_rehash": world.rehash(),
-            "n_users": world.n_users,
-            "n_following": world.n_following,
-            "n_tweeting": world.n_tweeting,
-            "label_users": [int(u) for u in label_users],
-            "created_unix": time.time(),
-        }
         if final.exists():
             existing = self._read_meta(final)
             if (
                 existing is not None
-                and existing.get("content_hash") == meta["content_hash"]
+                and existing.get("content_hash") == world.content_hash
             ):
                 # Idempotent re-publish (writer restart): just make
                 # sure CURRENT points here.
-                self._write_manifest(generation, name, meta)
+                self._write_manifest(generation, name, existing)
                 return self.current_manifest()
             raise StoreError(
                 f"{final}: generation {generation} already published "
                 "with different content -- refusing to overwrite "
                 "(two writers? out-of-order generations?)"
             )
-        tmp = self.directory / f".{name}.tmp-{os.getpid()}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        try:
-            world.dump_dir(tmp, fsync=True)
-            with open(tmp / META_FILE, "w", encoding="utf-8") as fh:
-                json.dump(meta, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.rename(tmp, final)
-            fsync_dir(self.directory)
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
+        meta = write_world_dir(
+            world, final, {"label_users": [int(u) for u in label_users]}
+        )
         self._write_manifest(generation, name, meta)
         self._retire_old()
         STORE_PUBLISH_SECONDS.observe(time.perf_counter() - t0)
@@ -312,27 +296,22 @@ class WorldStore:
                 )
             path = self.directory / manifest["path"]
             try:
-                meta = self._read_meta(path)
-                if meta is None:
-                    raise FileNotFoundError(path / META_FILE)
-                world = ColumnarWorld.load_dir(
-                    self.gazetteer, path, mmap=True
+                world, meta = read_world_dir(
+                    self.gazetteer, path, mmap=True, verify=verify
                 )
-            except (FileNotFoundError, OSError, ValueError) as exc:
+            except WorldDigestError as exc:
+                raise StoreError(
+                    f"{path}: published arenas do not match their "
+                    "recorded digest (half-published generation?)"
+                ) from exc
+            except (OSError, KeyError, ValueError) as exc:
                 # Lost the race against retirement (or a torn replace
                 # on an exotic filesystem): resolve CURRENT again.
                 last_error = exc
                 self._drop_manifest_cache()
                 time.sleep(0.005)
                 continue
-            world.generation = int(meta["generation"])
-            world._content_hash = meta["content_hash"]
-            if verify and world.rehash() != meta["world_rehash"]:
-                raise StoreError(
-                    f"{path}: published arenas do not match their "
-                    "recorded digest (half-published generation?)"
-                )
-            generation = int(meta["generation"])
+            generation = world.generation
             with self._lock:
                 self._leases[generation] = (
                     self._leases.get(generation, 0) + 1
@@ -373,7 +352,7 @@ class WorldStore:
     def _read_meta(self, gen_dir: Path) -> dict | None:
         try:
             return json.loads(
-                (gen_dir / META_FILE).read_text(encoding="utf-8")
+                (gen_dir / WORLD_META_FILE).read_text(encoding="utf-8")
             )
         except (OSError, json.JSONDecodeError):
             return None

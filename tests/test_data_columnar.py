@@ -12,7 +12,14 @@ from repro.core.priors import (
     venue_referent_map,
 )
 from repro.data import columnar
-from repro.data.columnar import ColumnarWorld, compile_world, register_world
+from repro.data.columnar import (
+    ColumnarWorld,
+    WorldDigestError,
+    compile_world,
+    read_world_dir,
+    register_world,
+    write_world_dir,
+)
 from repro.data.model import Dataset, FollowingEdge, User
 
 
@@ -112,22 +119,20 @@ class TestCompileOnce:
 
 class TestPersistence:
     def test_round_trip_preserves_hash(self, tiny_world, world):
-        rebuilt = ColumnarWorld.from_arrays(
-            tiny_world.gazetteer, world.to_arrays()
-        )
+        rebuilt = ColumnarWorld(tiny_world.gazetteer, world.to_arrays())
         assert rebuilt.content_hash == world.content_hash
 
     def test_missing_array_rejected(self, tiny_world, world):
         arrays = world.to_arrays()
         del arrays["cand_indices"]
         with pytest.raises(ValueError, match="missing"):
-            ColumnarWorld.from_arrays(tiny_world.gazetteer, arrays)
+            ColumnarWorld(tiny_world.gazetteer, arrays)
 
     def test_inconsistent_csr_rejected(self, tiny_world, world):
         arrays = dict(world.to_arrays())
         arrays["out_indptr"] = arrays["out_indptr"][:-1]
         with pytest.raises(ValueError):
-            ColumnarWorld.from_arrays(tiny_world.gazetteer, arrays)
+            ColumnarWorld(tiny_world.gazetteer, arrays)
 
     def test_out_of_range_ids_rejected(self, tiny_world, world):
         arrays = dict(world.to_arrays())
@@ -135,7 +140,7 @@ class TestPersistence:
         bad[0] = world.n_users + 7
         arrays["edge_dst"] = bad
         with pytest.raises(ValueError, match="edge_dst"):
-            ColumnarWorld.from_arrays(tiny_world.gazetteer, arrays)
+            ColumnarWorld(tiny_world.gazetteer, arrays)
 
     def test_pickle_drops_object_graph_but_keeps_identity(self, world):
         clone = pickle.loads(pickle.dumps(world))
@@ -166,6 +171,43 @@ class TestPersistence:
         )
         assert not isinstance(eager.edge_src, np.memmap)
         assert eager.rehash() == world.rehash()
+
+    def test_world_dir_round_trip_restamps_identity(
+        self, tiny_world, world, tmp_path
+    ):
+        clone = pickle.loads(pickle.dumps(world))
+        clone.generation = 7
+        clone._content_hash = "feedfacefeedface"
+        meta = write_world_dir(clone, tmp_path / "gen", {"label_users": [3]})
+        assert meta["label_users"] == [3]
+        assert meta["world_rehash"] == world.rehash()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen"]
+        loaded, read_meta = read_world_dir(
+            tiny_world.gazetteer, tmp_path / "gen", verify=True
+        )
+        assert read_meta == meta
+        assert isinstance(loaded.edge_src, np.memmap)
+        assert loaded.generation == 7
+        assert loaded.content_hash == "feedfacefeedface"
+        assert loaded.rehash() == world.rehash()
+
+    def test_world_dir_refuses_to_overwrite(self, world, tmp_path):
+        write_world_dir(world, tmp_path / "gen")
+        with pytest.raises(OSError):
+            write_world_dir(world, tmp_path / "gen")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen"]
+
+    def test_world_dir_verify_catches_flipped_arena(
+        self, tiny_world, world, tmp_path
+    ):
+        write_world_dir(world, tmp_path / "gen")
+        arena = tmp_path / "gen" / "venue_mention_counts.npy"
+        data = bytearray(arena.read_bytes())
+        data[-1] ^= 0x01
+        arena.write_bytes(bytes(data))
+        read_world_dir(tiny_world.gazetteer, tmp_path / "gen")  # unchecked
+        with pytest.raises(WorldDigestError):
+            read_world_dir(tiny_world.gazetteer, tmp_path / "gen", verify=True)
 
 
 class TestDatasetBridge:

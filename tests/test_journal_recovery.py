@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -41,6 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.columnar import compile_world
+from repro.data import journal as journal_module
 from repro.data.delta import StaleWindowError, apply_delta, touched_since
 from repro.data.journal import (
     DeltaJournal,
@@ -337,11 +339,12 @@ class TestSnapshots:
             if i == 1:
                 snap = journal.snapshot(world)
         journal.close()
-        # Corrupt the checkpoint: recovery must reject it on the
-        # recorded digest and replay the whole journal from base.
-        data = bytearray(snap.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        snap.write_bytes(bytes(data))
+        # Corrupt one arena of the checkpoint: recovery must reject it
+        # on the recorded digest and replay the whole journal from base.
+        arena = snap / "venue_mention_counts.npy"
+        data = bytearray(arena.read_bytes())
+        data[-1] ^= 0x01
+        arena.write_bytes(bytes(data))
 
         recovered, journal2, report = open_journal(tmp_path, base_world)
         journal2.close()
@@ -360,8 +363,10 @@ class TestSnapshots:
         rng = np.random.default_rng(8)
         world = append_and_apply(journal, world, random_delta(world, rng))
         journal.close()
-        for snap in DeltaJournal(tmp_path).snapshot_paths():
-            snap.unlink()
+        (snap,) = DeltaJournal(tmp_path).snapshot_paths()
+        shutil.rmtree(snap)
+        # A snapshot file in the retired npz format is not a checkpoint.
+        (tmp_path / f"{snap.name}.world.npz").write_bytes(b"PK\x03\x04")
         with pytest.raises(JournalError, match="snapshot missing or corrupt"):
             open_journal(tmp_path, base_world)
 
@@ -398,6 +403,46 @@ class TestSnapshots:
         assert np.array_equal(
             touched, np.unique(recovered.delta_log[-1].touched_users)
         )
+
+    def test_recovery_reads_only_the_snapshot_it_needs(
+        self, base_world, tmp_path, monkeypatch
+    ):
+        """With two valid snapshots, the newest chains: one read."""
+        world, deltas, journal = build_journal(tmp_path, base_world, n=2)
+        journal.compact(world)
+        rng = np.random.default_rng(21)
+        world = append_and_apply(journal, world, random_delta(world, rng))
+        journal.compact(world)
+        world = append_and_apply(journal, world, random_delta(world, rng))
+        journal.close()
+        assert len(DeltaJournal(tmp_path).snapshot_paths()) == 2
+
+        reads = []
+        real_read = journal_module.read_world_dir
+
+        def counting_read(gazetteer, path, **kwargs):
+            reads.append(Path(path).name)
+            return real_read(gazetteer, path, **kwargs)
+
+        monkeypatch.setattr(journal_module, "read_world_dir", counting_read)
+        recovered, journal2, report = open_journal(tmp_path, base_world)
+        journal2.close()
+        assert reads == ["snapshot-000000000003"]
+        assert report["snapshot_generation"] == 3
+        assert recovered.content_hash == world.content_hash
+
+    def test_compact_twice_at_one_generation(self, base_world, tmp_path):
+        """A second compaction with no ingest between keeps the
+        snapshot and still recovers."""
+        world, deltas, journal = build_journal(tmp_path, base_world, n=2)
+        first = journal.compact(world)
+        second = journal.compact(world)
+        assert second["snapshot"] == first["snapshot"]
+        journal.close()
+        recovered, journal2, report = open_journal(tmp_path, base_world)
+        journal2.close()
+        assert report["snapshot_generation"] == 2
+        assert_worlds_identical(recovered, recompiled(base_world, deltas))
 
     def test_foreign_journal_refuses_instead_of_truncating(
         self, base_world, small_world, tmp_path

@@ -46,26 +46,25 @@ def pooled_result(world):
     return MLPModel(_params(engine="vectorized", n_chains=2)).fit(world)
 
 
-def _rewrite_legacy(path, dest, version):
+def _rewrite_legacy(path, dest, version, world=None):
     """Rewrite a saved artifact the way format ``version`` stored it.
 
     Versions 1 and 2 kept the dataset payload as a NumPy unicode
-    scalar; version 1 also had no persisted world.
+    scalar; versions 2 and 3 also carried a compiled world
+    (``world_*`` arrays + ``world_hash``), here the given ``world``.
     """
     with np.load(path) as data:
         payload = {name: data[name] for name in data.files}
-    payload["dataset_json"] = np.array(
-        payload["dataset_json"].tobytes().decode("utf-8")
-    )
+    if version < 3:
+        payload["dataset_json"] = np.array(
+            payload["dataset_json"].tobytes().decode("utf-8")
+        )
     meta = json.loads(str(payload["meta"][()]))
     meta["format_version"] = version
-    if version == 1:
-        del meta["world_hash"]
-        payload = {
-            name: arr
-            for name, arr in payload.items()
-            if not name.startswith("world_")
-        }
+    if version in (2, 3):
+        meta["world_hash"] = world.content_hash
+        for key, arr in world.to_arrays().items():
+            payload[f"world_{key}"] = arr
     payload["meta"] = np.array(json.dumps(meta))
     with open(dest, "wb") as fh:
         np.savez_compressed(fh, **payload)
@@ -232,61 +231,61 @@ class TestErrors:
 
 
 class TestWorldPersistence:
-    """Artifacts carry the compiled columnar world: load re-attaches it."""
+    """Artifacts carry no world: it is recompiled, bit for bit, on load."""
 
-    def test_world_arrays_persisted(self, loop_result, tmp_path):
-        from repro.data.columnar import WORLD_ARRAY_KEYS, compile_world
-
-        path = tmp_path / "w.mlp.npz"
-        save_result(loop_result, path)
-        meta = artifact_metadata(path)
-        assert meta["world_hash"] == compile_world(
-            loop_result.dataset
-        ).content_hash
-        with np.load(path) as data:
-            for key in WORLD_ARRAY_KEYS:
-                assert f"world_{key}" in data.files
-
-    def test_load_reattaches_without_recompiling(self, loop_result, tmp_path):
+    def test_load_recompiles_world_once(self, loop_result, tmp_path):
         from repro.data import columnar
 
         path = tmp_path / "w.mlp.npz"
         save_result(loop_result, path)
+        with np.load(path) as data:
+            assert not any(name.startswith("world_") for name in data.files)
+        assert "world_hash" not in artifact_metadata(path)
         loaded = load_result(path)
         before = columnar.compile_count()
         world = columnar.compile_world(loaded.dataset)
-        assert columnar.compile_count() == before  # no re-index on load
-        assert world.content_hash == columnar.compile_world(
-            loop_result.dataset
-        ).content_hash
+        assert columnar.compile_count() == before + 1
+        assert columnar.compile_world(loaded.dataset) is world
+        original = columnar.compile_world(loop_result.dataset)
+        assert world.content_hash == original.content_hash
+        for key in columnar.WORLD_ARRAY_KEYS:
+            assert np.array_equal(getattr(world, key), getattr(original, key))
 
     def test_foldin_uses_persisted_world(self, loop_result, tmp_path):
-        from repro.data import columnar
         from repro.serving.foldin import FoldInPredictor
 
         path = tmp_path / "w.mlp.npz"
         save_result(loop_result, path)
         loaded = load_result(path)
-        before = columnar.compile_count()
         predictor = FoldInPredictor(loaded)
-        assert columnar.compile_count() == before
         spec = predictor.spec_for_training_user(0)
         reference = FoldInPredictor(loop_result).spec_for_training_user(0)
         assert spec == reference
 
-    def test_corrupted_world_hash_rejected(self, loop_result, tmp_path):
-        path = tmp_path / "w.mlp.npz"
-        save_result(loop_result, path)
-        with np.load(path) as data:
-            payload = {name: data[name] for name in data.files}
-        meta = json.loads(str(payload["meta"][()]))
-        meta["world_hash"] = "0" * 16
-        payload["meta"] = np.array(json.dumps(meta))
-        bad = tmp_path / "bad.mlp.npz"
-        with open(bad, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        with pytest.raises(ArtifactError, match="content hash"):
-            load_result(bad)
+    def test_result_fitted_on_a_delta_world_round_trips(self, world, tmp_path):
+        """A delta-descendant world carries a chained hash, not its
+        array digest; its artifact must still load and answer alike."""
+        from faults import random_delta
+
+        from repro.data.columnar import compile_world
+        from repro.data.delta import apply_delta
+        from repro.serving.foldin import FoldInPredictor
+
+        base = compile_world(world)
+        grown = apply_delta(base, random_delta(base, np.random.default_rng(5)))
+        assert grown.content_hash != grown.rehash()
+        result = MLPModel(_params(engine="vectorized")).fit(grown)
+        path = tmp_path / "delta.mlp.npz"
+        save_result(result, path)
+        loaded = load_result(path)
+        _assert_round_trip(result, loaded)
+        live, restored = FoldInPredictor(result), FoldInPredictor(loaded)
+        for user in (0, 7, 31, grown.n_users - 1):
+            spec = live.spec_for_training_user(user)
+            assert restored.spec_for_training_user(user) == spec
+            a, b = live.predict(spec), restored.predict(spec)
+            assert b.profile == a.profile
+            assert b.iterations == a.iterations
 
     def test_version1_artifact_without_world_still_loads(
         self, loop_result, tmp_path
@@ -310,11 +309,16 @@ class TestWorldPersistence:
         from repro.data.columnar import compile_world
 
         result = request.getfixturevalue(fixture)
-        path = tmp_path / "v3.mlp.npz"
+        path = tmp_path / "v4.mlp.npz"
         artifact_id = save_result(result, path)
         with np.load(path) as data:
             assert data["dataset_json"].dtype == np.uint8
-        legacy = _rewrite_legacy(path, tmp_path / "v2.mlp.npz", version=2)
+        legacy = _rewrite_legacy(
+            path,
+            tmp_path / "v2.mlp.npz",
+            version=2,
+            world=compile_world(result.dataset),
+        )
         with np.load(legacy) as data:
             assert data["dataset_json"].dtype.kind == "U"
         assert artifact_metadata(legacy)["artifact_id"] == artifact_id
@@ -324,6 +328,30 @@ class TestWorldPersistence:
         assert compile_world(old.dataset).content_hash == (
             compile_world(new.dataset).content_hash
         )
+
+    def test_version3_world_records_are_ignored(self, loop_result, tmp_path):
+        """A legacy file's ``world_*`` records are never read: even a
+        foreign world in them leaves the recompiled world exact."""
+        from faults import random_delta
+
+        from repro.data import columnar
+        from repro.data.delta import apply_delta
+
+        original = columnar.compile_world(loop_result.dataset)
+        foreign = apply_delta(
+            original, random_delta(original, np.random.default_rng(9))
+        )
+        path = tmp_path / "v4.mlp.npz"
+        save_result(loop_result, path)
+        legacy = _rewrite_legacy(
+            path, tmp_path / "v3.mlp.npz", version=3, world=foreign
+        )
+        loaded = load_result(legacy)
+        _assert_round_trip(loop_result, loaded)
+        before = columnar.compile_count()
+        rebuilt = columnar.compile_world(loaded.dataset)
+        assert columnar.compile_count() == before + 1
+        assert rebuilt.content_hash == original.content_hash
 
     def test_materialized_dataset_is_collectable(self):
         """to_dataset must not pin the world/dataset pair in the memo."""

@@ -83,6 +83,17 @@ class TestPublishAcquire:
         finally:
             lease.release()
 
+    def test_verify_rejects_a_flipped_arena_byte(self, base_world, tmp_path):
+        store = WorldStore(tmp_path, base_world.gazetteer)
+        manifest = store.publish(base_world)
+        arena = tmp_path / manifest["path"] / "venue_mention_counts.npy"
+        data = bytearray(arena.read_bytes())
+        data[-1] ^= 0x01  # last byte: inside the data, past the header
+        arena.write_bytes(bytes(data))
+        store.acquire().release()  # an unverified attach does not look
+        with pytest.raises(StoreError, match="recorded digest"):
+            store.acquire(verify=True)
+
     def test_republish_same_content_is_idempotent(self, base_world, tmp_path):
         store = WorldStore(tmp_path, base_world.gazetteer)
         first = store.publish(base_world)
